@@ -1,11 +1,15 @@
 """Level-curve extraction and the time-averaged boundary-length functional.
 
-Isolines of a field slice are extracted by marching triangles: in every
-mesh triangle whose vertex values straddle the level u, the two crossing
-edges get a crossing point by linear interpolation along the chord, and
-the pair forms one segment.  Segment lengths are geodesic (great-circle)
-arcs between the radial projections of the crossing points; chordal
-lengths would carry an O(h^2) systematic bias that geodesic lengths avoid.
+Isolines of a field slice are extracted by marching triangles with a case
+table, as in marching cubes (Lorensen & Cline 1987).  Each (triangle,
+slice) pair gets a 3-bit code from the signs of its vertex values minus u;
+codes 0 and 7 do not cross, and for the other six a static table names the
+odd vertex, the one alone on its side of u.  Only the crossing pairs get
+geometry: the two edges leaving the odd vertex get a crossing point by
+linear interpolation along the chord, and the pair forms one segment.
+Segment lengths are geodesic (great-circle) arcs between the radial
+projections of the crossing points; chordal lengths would carry an O(h^2)
+systematic bias that geodesic lengths avoid.
 
 A vertex value exactly equal to u is perturbed upward by 1e-12 (the field
 is unit variance), deterministically, and counted; this keeps extraction
@@ -66,49 +70,50 @@ class LevelCurveSet:
         return self.segments.shape[0]
 
 
-def _crossing_data(values, mesh, u):
-    """Shared marching-triangles core for a (V, S) block of slices.
+# odd vertex of each code sum_i 2^i [Z(v_i) > u]; codes 0 and 7 never cross
+_ODD = np.array([0, 0, 1, 2, 2, 1, 0, 0])
+_NEXT = (_ODD + 1) % 3
+_AFTER = (_ODD + 2) % 3
 
-    Returns (slice_of_crossing, arcs, odd, tri_index, t_a, t_b, p_a, p_b,
-    n_perturbed); crossing k lives in triangle tri_index[k] of slice
-    slice_of_crossing[k].
-    """
+
+def _nudged(values, u):
+    """(V, S) float block with the values exactly at u nudged upwards, and
+    the number of nudged values."""
     vals = np.asarray(values, dtype=float)
-    squeeze = vals.ndim == 1
-    if squeeze:
+    if vals.ndim == 1:
         vals = vals[:, None]
     exact = vals == u
     n_pert = int(np.count_nonzero(exact))
     if n_pert:
         vals = vals.copy()
         vals[exact] += _EXACT_HIT_NUDGE
-    d = vals[mesh.triangles] - u          # (F, 3, S)
-    pos = d > 0
-    npos = pos.sum(axis=1)                # (F, S)
-    crossing = (npos == 1) | (npos == 2)
-    f_idx, s_idx = np.nonzero(crossing)
-    if f_idx.size == 0:
-        empty3 = np.empty((0, 3))
-        return (s_idx, np.empty(0), np.empty(0, int), f_idx,
-                np.empty(0), np.empty(0), empty3, empty3, n_pert,
-                vals.shape[1])
-    # the odd vertex: the single positive one (npos == 1) or the single
-    # negative one (npos == 2)
-    odd_pos = pos.argmax(axis=1)
-    odd_neg = (~pos).argmax(axis=1)
-    odd = np.where(npos == 1, odd_pos, odd_neg)[f_idx, s_idx]
+    return vals, n_pert
 
-    tri = mesh.triangles[f_idx]           # (K, 3)
-    k_ar = np.arange(f_idx.size)
-    ia = (odd + 1) % 3
-    ib = (odd + 2) % 3
-    d_sel = d[f_idx, :, s_idx]            # (K, 3)
-    d_o = d_sel[k_ar, odd]
-    d_a = d_sel[k_ar, ia]
-    d_b = d_sel[k_ar, ib]
-    v_o = mesh.vertices[tri[k_ar, odd]]
-    v_a = mesh.vertices[tri[k_ar, ia]]
-    v_b = mesh.vertices[tri[k_ar, ib]]
+
+def _march(vals, mesh, u):
+    """Marching-triangles kernel for a (V, S) block of slices with no value
+    exactly at u.
+
+    Returns (slice, (odd, a, b) vertex indices, (t_a, t_b), (p_a, p_b),
+    arcs) per crossing, triangle-major: the segment runs from p_a at
+    parameter t_a on edge odd->a to p_b on edge odd->b.
+    """
+    n_slices = vals.shape[1]
+    above = (vals > u).view(np.uint8)     # (V, S)
+    tri = mesh.triangles
+    code = above[tri[:, 0]]               # (F, S)
+    code |= (above << 1)[tri[:, 1]]
+    code |= (above << 2)[tri[:, 2]]
+    code = code.ravel()
+    k = np.flatnonzero((code != 0) & (code != 7))
+    f, s = np.divmod(k, n_slices)
+    c = code[k]
+    corner = tri.ravel()
+    v_idx = (corner[3 * f + _ODD[c]], corner[3 * f + _NEXT[c]],
+             corner[3 * f + _AFTER[c]])
+    flat = vals.ravel()
+    d_o, d_a, d_b = (flat[v * n_slices + s] - u for v in v_idx)
+    v_o, v_a, v_b = (mesh.vertices.take(v, axis=0) for v in v_idx)
     t_a = d_o / (d_o - d_a)
     t_b = d_o / (d_o - d_b)
     p_a = v_o + t_a[:, None] * (v_a - v_o)
@@ -118,47 +123,33 @@ def _crossing_data(values, mesh, u):
     cross = np.cross(p_a, p_b)
     arcs = np.arctan2(np.linalg.norm(cross, axis=1),
                       np.einsum("ij,ij->i", p_a, p_b))
-    return (s_idx, arcs, odd, f_idx, t_a, t_b, p_a, p_b, n_pert,
-            vals.shape[1])
+    return s, v_idx, (t_a, t_b), (p_a, p_b), arcs
 
 
 def isoline_lengths(values, mesh, u):
     """Total u-level curve length for each slice of a (V, S) value block.
 
-    Returns (lengths (S,), perturbed_vertex_count).  This is the batched
-    kernel behind :func:`extract_level_curves` and the study loops.
+    Returns (lengths (S,), perturbed_vertex_count).
     """
-    s_idx, arcs, *_rest = _crossing_data(values, mesh, u)
-    n_pert, n_slices = _rest[-2], _rest[-1]
-    lengths = np.bincount(s_idx, weights=arcs, minlength=n_slices)
-    return lengths, n_pert
+    vals, n_pert = _nudged(values, u)
+    s, _v, _t, _p, arcs = _march(vals, mesh, u)
+    return np.bincount(s, weights=arcs, minlength=vals.shape[1]), n_pert
 
 
 def extract_level_curves(field_slice, mesh, u):
     """Marching-triangles isoline of one slice as a LevelCurveSet."""
     values = getattr(field_slice, "values", field_slice)
     k = getattr(field_slice, "time_index", 0)
-    (s_idx, arcs, odd, f_idx, t_a, t_b, p_a, p_b, n_pert,
-     _n_slices) = _crossing_data(values, mesh, float(u))
-    segments = np.stack([p_a, p_b], axis=1)
-    tri = mesh.triangles[f_idx]
-    k_ar = np.arange(f_idx.size)
-    ia = (odd + 1) % 3
-    ib = (odd + 2) % 3
-    edges = np.stack(
-        [
-            np.stack([tri[k_ar, odd], tri[k_ar, ia]], axis=1),
-            np.stack([tri[k_ar, odd], tri[k_ar, ib]], axis=1),
-        ],
-        axis=1,
-    )
-    params = np.stack([t_a, t_b], axis=1)
+    u = float(u)
+    vals, n_pert = _nudged(values, u)
+    _s, (v_o, v_a, v_b), t, p, arcs = _march(vals, mesh, u)
+    edges = np.stack([v_o, v_a, v_o, v_b], axis=1).reshape(-1, 2, 2)
     return LevelCurveSet(
-        segments=segments,
+        segments=np.stack(p, axis=1),
         segment_edges=edges,
-        edge_params=params,
+        edge_params=np.stack(t, axis=1),
         total_length=float(arcs.sum()),
-        level=float(u),
+        level=u,
         time_index=int(k),
         perturbed_vertices=n_pert,
     )

@@ -168,7 +168,11 @@ def make_spectrum(entries, normalize=True, require_monopole=True):
             "pass normalize=True to rescale"
         )
     spec = PowerSpectrum(tuple(cleaned))
-    assert abs(spec.sigma0_sq - 1.0) <= 1e-9
+    if not abs(spec.sigma0_sq - 1.0) <= 1e-9:
+        raise ValueError(
+            f"spectrum did not normalize to unit variance (sigma0^2 = "
+            f"{spec.sigma0_sq!r}); c0 values out of floating-point range"
+        )
     return spec
 
 

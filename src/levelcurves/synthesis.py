@@ -168,31 +168,26 @@ def build_icosphere(subdivision_level):
     if not 0 <= level <= 8:
         raise ValueError("subdivision level must lie in [0, 8]")
     verts = _ICO_VERTS / np.linalg.norm(_ICO_VERTS, axis=1, keepdims=True)
-    verts = list(verts)
     faces = _ICO_FACES.copy()
     for _ in range(level):
-        midpoint = {}
-
-        def mid(i, j):
-            key = (i, j) if i < j else (j, i)
-            idx = midpoint.get(key)
-            if idx is None:
-                p = verts[i] + verts[j]
-                p = p / np.linalg.norm(p)
-                verts.append(p)
-                idx = len(verts) - 1
-                midpoint[key] = idx
-            return idx
-
-        new_faces = np.empty((4 * faces.shape[0], 3), dtype=np.int64)
-        for t, (i, j, k) in enumerate(faces):
-            a, b, c = mid(i, j), mid(j, k), mid(k, i)
-            new_faces[4 * t + 0] = (i, a, c)
-            new_faces[4 * t + 1] = (a, j, b)
-            new_faces[4 * t + 2] = (c, b, k)
-            new_faces[4 * t + 3] = (a, b, c)
-        faces = new_faces
-    verts = np.array(verts) @ _pole_dodge_rotation().T
+        # edges (i, j), (j, k), (k, i) of each face (i, j, k), in face
+        # order; each distinct edge gets a new midpoint vertex, numbered in
+        # order of first appearance
+        edges = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        lo, hi = edges.min(axis=1), edges.max(axis=1)
+        _, first, inverse = np.unique(lo * len(verts) + hi,
+                                      return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        p = verts[lo[first[order]]] + verts[hi[first[order]]]
+        p /= np.sqrt(np.vecdot(p, p))[:, None]
+        a, b, c = (len(verts) + rank[inverse]).reshape(-1, 3).T
+        i, j, k = faces.T
+        faces = np.stack([i, a, c, a, j, b, c, b, k, a, b, c],
+                         axis=1).reshape(-1, 3)
+        verts = np.concatenate([verts, p])
+    verts = verts @ _pole_dodge_rotation().T
 
     # enforce outward (CCW) orientation
     a, b, c = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]

@@ -2,12 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from levelcurves.chaos import chaos_projections_quadrature
 from levelcurves.geometry import boundary_functional, kac_rice_mean
 from levelcurves.spectrum import MultipoleEntry, make_spectrum
 from levelcurves.synthesis import TimeGrid, build_icosphere, \
     sample_time_processes
+
+# Property tests draw the same examples on every run and have no per-example
+# deadline, so a slow core cannot fail them.  No example database is kept.
+settings.register_profile("tier1", deadline=None, derandomize=True,
+                          database=None)
+settings.load_profile("tier1")
 
 
 def spec_from_fractions(fracs, require_monopole=True):

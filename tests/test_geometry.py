@@ -1,10 +1,13 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from conftest import kac_rice_mean_check, spec_from_fractions
 from levelcurves.geometry import (
+    _EXACT_HIT_NUDGE,
     boundary_functional,
     epsilon_length,
     extract_level_curves,
@@ -17,6 +20,7 @@ from levelcurves.synthesis import (
     HarmonicBasis,
     SphereMesh,
     TimeGrid,
+    build_icosphere,
     sample_time_processes,
     synthesize_slice,
 )
@@ -121,6 +125,137 @@ def test_chordal_geodesic_gap_bound(mesh4):
     rel = (arcs[nz] - chords[nz]) / arcs[nz]
     assert np.all(rel >= -1e-15)
     assert np.all(rel < h_max**2 / 24 + 1e-12)
+
+
+# ----------------------------------------------------------------------
+# Code-table kernel against the float-gather kernel it replaced
+# ----------------------------------------------------------------------
+
+def _oracle_crossings(values, mesh, u):
+    """The float-gather marching kernel: gathers the (F, 3, S) values
+    minus u and finds each crossing's odd vertex by two argmax passes.
+
+    Returns (slice, odd, triangle, t_a, t_b, p_a, p_b, arcs, n_perturbed,
+    n_slices) per crossing, triangle-major.
+    """
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim == 1:
+        vals = vals[:, None]
+    exact = vals == u
+    n_pert = int(np.count_nonzero(exact))
+    if n_pert:
+        vals = vals.copy()
+        vals[exact] += _EXACT_HIT_NUDGE
+    d = vals[mesh.triangles] - u          # (F, 3, S)
+    pos = d > 0
+    npos = pos.sum(axis=1)                # (F, S)
+    f_idx, s_idx = np.nonzero((npos == 1) | (npos == 2))
+    odd = np.where(npos == 1, pos.argmax(axis=1),
+                   (~pos).argmax(axis=1))[f_idx, s_idx]
+    tri = mesh.triangles[f_idx]
+    k_ar = np.arange(f_idx.size)
+    ia = (odd + 1) % 3
+    ib = (odd + 2) % 3
+    d_sel = d[f_idx, :, s_idx]            # (K, 3)
+    d_o = d_sel[k_ar, odd]
+    d_a = d_sel[k_ar, ia]
+    d_b = d_sel[k_ar, ib]
+    v_o = mesh.vertices[tri[k_ar, odd]]
+    v_a = mesh.vertices[tri[k_ar, ia]]
+    v_b = mesh.vertices[tri[k_ar, ib]]
+    t_a = d_o / (d_o - d_a)
+    t_b = d_o / (d_o - d_b)
+    p_a = v_o + t_a[:, None] * (v_a - v_o)
+    p_b = v_o + t_b[:, None] * (v_b - v_o)
+    p_a /= np.linalg.norm(p_a, axis=1, keepdims=True)
+    p_b /= np.linalg.norm(p_b, axis=1, keepdims=True)
+    arcs = np.arctan2(np.linalg.norm(np.cross(p_a, p_b), axis=1),
+                      np.einsum("ij,ij->i", p_a, p_b))
+    return (s_idx, odd, f_idx, t_a, t_b, p_a, p_b, arcs, n_pert,
+            vals.shape[1])
+
+
+def _oracle_lengths(values, mesh, u):
+    s_idx, *_mid, arcs, n_pert, n_slices = _oracle_crossings(values, mesh, u)
+    return np.bincount(s_idx, weights=arcs, minlength=n_slices), n_pert
+
+
+def _oracle_curves(values, mesh, u):
+    """(segments, segment_edges, edge_params, total_length, n_perturbed)
+    of one slice, as the float-gather path built them."""
+    (_s, odd, f_idx, t_a, t_b, p_a, p_b, arcs, n_pert,
+     _n) = _oracle_crossings(values, mesh, float(u))
+    tri = mesh.triangles[f_idx]
+    k_ar = np.arange(f_idx.size)
+    v_o = tri[k_ar, odd]
+    edges = np.stack([np.stack([v_o, tri[k_ar, (odd + 1) % 3]], axis=1),
+                      np.stack([v_o, tri[k_ar, (odd + 2) % 3]], axis=1)],
+                     axis=1)
+    return (np.stack([p_a, p_b], axis=1), edges, np.stack([t_a, t_b], axis=1),
+            float(arcs.sum()), n_pert)
+
+
+@functools.cache
+def _mesh(level):
+    return build_icosphere(level)
+
+
+@st.composite
+def value_blocks(draw, exact_hits=True):
+    """(values, mesh, u): a (V, S) block, or a (V,) slice when S = 1, of
+    white noise or of a smooth degree-<=4 field, over meshes 0-4.  With
+    ``exact_hits``, values and u may be rounded to a grid so that many
+    values sit exactly on u."""
+    mesh = _mesh(draw(st.integers(0, 4)))
+    n_slices = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x, y, z = mesh.vertices.T
+        monomials = np.stack([np.ones_like(x), x, y, z, x * y, y * z, z * x,
+                              x * x - y * y, x * y * z, z ** 4])
+        vals = monomials.T @ rng.standard_normal((10, n_slices))
+    else:
+        vals = rng.standard_normal((mesh.n_vertices, n_slices))
+    u = draw(st.floats(-2.5, 2.5))
+    grid = draw(st.sampled_from([0.5, 0.1, None] if exact_hits else [None]))
+    if grid is not None:
+        vals = np.round(vals / grid) * grid
+        u = round(u / grid) * grid
+    if n_slices == 1 and draw(st.booleans()):
+        vals = vals[:, 0]
+    return vals, mesh, u
+
+
+@given(value_blocks())
+def test_code_table_kernel_matches_float_gather_kernel(block):
+    vals, mesh, u = block
+    lengths, n_pert = isoline_lengths(vals, mesh, u)
+    expected, expected_pert = _oracle_lengths(vals, mesh, u)
+    assert np.array_equal(lengths, expected)
+    assert n_pert == expected_pert
+
+
+@given(value_blocks(exact_hits=False))
+def test_length_is_symmetric_under_field_and_level_sign_flip(block):
+    vals, mesh, u = block
+    assume(not np.any(vals == u))
+    lengths, _ = isoline_lengths(vals, mesh, u)
+    flipped, _ = isoline_lengths(-vals, mesh, -u)
+    assert np.allclose(lengths, flipped, rtol=0, atol=1e-12)
+
+
+@given(value_blocks())
+def test_extract_level_curves_matches_float_gather_path(block):
+    vals, mesh, u = block
+    column = vals if vals.ndim == 1 else vals[:, 0]
+    curves = extract_level_curves(column, mesh, u)
+    segments, edges, params, total, n_pert = _oracle_curves(column, mesh, u)
+    assert np.array_equal(curves.segments, segments)
+    assert np.array_equal(curves.segment_edges, edges)
+    assert curves.segment_edges.dtype == edges.dtype
+    assert np.array_equal(curves.edge_params, params)
+    assert curves.total_length == total
+    assert curves.perturbed_vertices == n_pert
 
 
 # ----------------------------------------------------------------------

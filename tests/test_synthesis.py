@@ -8,9 +8,13 @@ from conftest import spec_from_fractions
 from levelcurves.spectrum import MultipoleEntry, make_spectrum, multipole_cov, \
     space_time_cov
 from levelcurves.synthesis import (
+    _ICO_FACES,
+    _ICO_VERTS,
     HarmonicBasis,
     TimeGrid,
     _plan_embedding,
+    _pole_dodge_rotation,
+    _spherical_triangle_areas,
     build_icosphere,
     load_ensemble,
     sample_time_processes,
@@ -51,6 +55,49 @@ def test_icosphere_counts():
     assert m3.n_vertices == 642 and m3.n_triangles == 1280
     with pytest.raises(ValueError):
         build_icosphere(9)
+
+
+def _oracle_icosphere(level):
+    """(vertices, triangles, weights) from the per-face midpoint loop that
+    the vectorised subdivision replaced."""
+    verts = list(_ICO_VERTS / np.linalg.norm(_ICO_VERTS, axis=1,
+                                             keepdims=True))
+    faces = _ICO_FACES.copy()
+    for _ in range(level):
+        midpoint = {}
+
+        def mid(i, j):
+            key = (i, j) if i < j else (j, i)
+            if key not in midpoint:
+                p = verts[i] + verts[j]
+                verts.append(p / np.linalg.norm(p))
+                midpoint[key] = len(verts) - 1
+            return midpoint[key]
+
+        new_faces = np.empty((4 * faces.shape[0], 3), dtype=np.int64)
+        for t, (i, j, k) in enumerate(faces):
+            a, b, c = mid(i, j), mid(j, k), mid(k, i)
+            new_faces[4 * t:4 * t + 4] = [(i, a, c), (a, j, b), (c, b, k),
+                                          (a, b, c)]
+        faces = new_faces
+    verts = np.array(verts) @ _pole_dodge_rotation().T
+    a, b, c = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
+    flip = np.einsum("ij,ij->i", np.cross(b - a, c - a), a + b + c) < 0
+    faces[flip] = faces[flip][:, [0, 2, 1]]
+    weights = np.zeros(len(verts))
+    np.add.at(weights, faces.ravel(),
+              np.repeat(_spherical_triangle_areas(verts, faces) / 3.0, 3))
+    return verts, faces, weights
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_icosphere_matches_midpoint_loop(level):
+    mesh = build_icosphere(level)
+    verts, faces, weights = _oracle_icosphere(level)
+    assert np.array_equal(mesh.vertices, verts)
+    assert np.array_equal(mesh.triangles, faces)
+    assert mesh.triangles.dtype == faces.dtype
+    assert np.array_equal(mesh.vertex_weights, weights)
 
 
 def test_icosphere_geometry_invariants(mesh4):
