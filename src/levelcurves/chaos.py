@@ -62,7 +62,6 @@ __all__ = [
     "sample_power_spectrum",
     "first_chaos_projection",
     "second_chaos_sample_spectrum",
-    "second_chaos_hermite_form",
     "chaos_projection_quadrature",
     "chaos_projections_quadrature",
     "second_chaos_weight",
@@ -78,32 +77,15 @@ __all__ = [
 # Expansion coefficients
 # ----------------------------------------------------------------------
 
-def _norm_expansion_poly_exact(order, x):
-    """p_N(x) with exact rational arithmetic (x a Fraction)."""
-    total = Fraction(0)
-    sign_n = (-1) ** order
-    for j in range(order + 1):
-        coeff = Fraction(
-            math.comb(order, j) * math.factorial(2 * j + 1),
-            math.factorial(j) ** 2,
-        )
-        total += (-1) ** j * sign_n * coeff * x**j
-    return total
-
-
 def norm_expansion_poly(order, x):
     """Polynomial p_N(x) = sum_j (-1)^j (-1)^N binom(N, j)
-    (2j+1)!/(j!)^2 x^j entering the norm expansion coefficients."""
+    (2j+1)!/(j!)^2 x^j entering the norm expansion coefficients.  The
+    coefficients are integers, so p_N is exact for a Fraction x."""
     order = int(order)
     if order < 0:
         raise ValueError("order must be >= 0")
-    total = 0.0
-    sign_n = (-1) ** order
-    for j in range(order + 1):
-        coeff = math.comb(order, j) * math.factorial(2 * j + 1) \
-            / math.factorial(j) ** 2
-        total += (-1) ** j * sign_n * coeff * float(x) ** j
-    return total
+    return sum((-1) ** (j + order) * math.comb(order, j) * (2 * j + 1)
+               * math.comb(2 * j, j) * x**j for j in range(order + 1))
 
 
 def norm_hermite_coeff(n, m):
@@ -125,7 +107,7 @@ def norm_hermite_coeff(n, m):
     a, b = n // 2, m // 2
     ratio = Fraction(math.factorial(2 * a) * math.factorial(2 * b),
                      math.factorial(a) * math.factorial(b) * 2 ** (a + b))
-    exact = ratio * _norm_expansion_poly_exact(a + b, Fraction(1, 4))
+    exact = ratio * norm_expansion_poly(a + b, Fraction(1, 4))
     return math.sqrt(math.pi / 2.0) * float(exact)
 
 
@@ -254,38 +236,36 @@ def second_chaos_sample_spectrum(ensemble, u):
     return 0.5 * s1 * math.sqrt(math.pi / 2.0) * gaussian_density(u) * total
 
 
-def second_chaos_hermite_form(ensemble, u):
-    """Same projection grouped as the Hermite functional of the normalized
-    multipole fields: (sigma1/2) sqrt(pi/2) phi(u)
-    sum_ell (C_ell(0)(2 ell + 1)/(4 pi)) w_ell(u)
-    int_0^T int_S2 H_2(Zhat_ell) dx dt, where the sphere integral is exact
-    in the coefficients: int H_2(Zhat_ell) dx = (4 pi/(2 ell + 1))
-    sum_m H_2(a_(ell m)/sqrt(C_ell(0)))."""
-    spec = ensemble.spectrum
-    s1 = math.sqrt(sigma1_sq(spec))
-    dt = ensemble.grid.dt
-    total = 0.0
-    for e in spec.entries:
-        rows = ensemble.rows_for(e.ell)
-        ahat_sq = ensemble.coeffs[rows] ** 2 / e.c0
-        sphere_integral = (4.0 * math.pi / (2 * e.ell + 1)) \
-            * (ahat_sq - 1.0).sum(axis=0)
-        time_integral = float(np.trapezoid(sphere_integral, dx=dt))
-        total += (e.c0 * (2 * e.ell + 1) / (4.0 * math.pi)) \
-            * second_chaos_weight(spec, e.ell, u) * time_integral
-    return 0.5 * s1 * math.sqrt(math.pi / 2.0) * gaussian_density(u) * total
-
-
 # ----------------------------------------------------------------------
 # Quadrature projections (mesh route)
 # ----------------------------------------------------------------------
 
-def chaos_projections_quadrature(ensemble, mesh, u, orders, block_steps=None):
+_BLOCK_VALUES = 40_000  # (slice, vertex) values per block of the quadrature
+
+
+def _recurrence_rows(h, x, tmp, coeffs):
+    """Fill h[:, 1:] from h[:, 0] in place by h_(i+1) = (x - b_i) h_i
+    - c_i h_(i-1), with (b_i, c_i) from ``coeffs``; tmp is scratch."""
+    for i, (b, c) in enumerate(coeffs):
+        np.multiply(np.subtract(x, b, out=tmp) if b else x, h[:, i],
+                    out=h[:, i + 1])
+        if i:
+            h[:, i + 1] -= np.multiply(h[:, i - 1], c, out=tmp)
+
+
+def chaos_projections_quadrature(ensemble, mesh, u, orders):
     """Sphere-time quadrature of the triple-Hermite integrands for several
     chaos orders in one sweep over time slices.
 
     Gradients are normalized by sigma1 before entering the Hermite
-    products.  Returns {q: value}.
+    products.  Returns {q: value}.  The slices go in blocks of about
+    ``_BLOCK_VALUES`` values through buffers allocated once per call.  A
+    block takes H_0..H_q_max(Z) and the even rows w H_k(g1) and H_j(g2)
+    (alpha vanishes at odd orders; H_(n+2) = (g^2 - 2n - 1) H_n
+    - n (n - 1) H_(n-2)), forms P_kj = w H_k(g1) H_j(g2) once per distinct
+    gradient pair, and gets the moments M[s, a, (k, j)] = sum_v H_a(Z) P_kj
+    from one batched matmul.  A slice's order-q value is a weighted sum of
+    its moments.
     """
     basis = mesh if isinstance(mesh, HarmonicBasis) \
         else HarmonicBasis(mesh, ensemble.spectrum.ells)
@@ -293,38 +273,48 @@ def chaos_projections_quadrature(ensemble, mesh, u, orders, block_steps=None):
     if not orders or orders[0] < 1:
         raise ValueError("chaos orders must be >= 1")
     q_max = orders[-1]
-    spec = ensemble.spectrum
-    s1 = math.sqrt(sigma1_sq(spec))
+    s1 = math.sqrt(sigma1_sq(ensemble.spectrum))
     table = chaos_table(u, q_max, sigma1=s1)
-    grid = ensemble.grid
-    n = grid.n_steps
-    if block_steps is None:
-        block_steps = max(1, int(2_000_000 / max(basis.mesh.n_vertices, 1)))
-    w_quad = basis.mesh.vertex_weights
-    d1, d2 = basis.dy
+    terms = [(i, q - m, (k, m - k), wgt)
+             for i, q in enumerate(orders) for m, k, wgt in table.terms(q)]
+    pairs = sorted({pair for _i, _a, pair, _w in terms})
+    coef = np.zeros((len(orders), q_max + 1, len(pairs)))
+    for i, a, pair, wgt in terms:
+        coef[i, a, pairs.index(pair)] = wgt
+    k_half = max((max(pair) for pair in pairs), default=0) // 2
+    z_rec = [(0, q) for q in range(q_max)]
+    g_rec = [(4 * i + 1, 2 * i * (2 * i - 1)) for i in range(k_half)]
 
-    per_step = {q: np.empty(n) for q in orders}
-    for start in range(0, n, block_steps):
-        stop = min(start + block_steps, n)
-        a = ensemble.coeffs[:, start:stop]
-        z = basis.y @ a
-        g1 = (d1 @ a) / s1
-        g2 = (d2 @ a) / s1
-        hz = hermite_rows(q_max, z)
-        h1 = hermite_rows(q_max, g1)
-        h2 = hermite_rows(q_max, g2)
-        for q in orders:
-            acc = np.zeros(stop - start)
-            for m, k, wgt in table.terms(q):
-                integrand = hz[q - m] * h1[k] * h2[m - k]
-                acc += wgt * (w_quad @ integrand)
-            per_step[q][start:stop] = acc
-    return {q: float(np.trapezoid(per_step[q], dx=grid.dt)) for q in orders}
+    n = ensemble.grid.n_steps
+    n_vertices = basis.mesh.n_vertices
+    step = min(n, max(1, round(_BLOCK_VALUES / n_vertices)))
+    z, g, tmp = np.empty((3, step, n_vertices))
+    hz = np.empty((step, q_max + 1, n_vertices))
+    h1, h2 = np.empty((2, step, k_half + 1, n_vertices))
+    prods = np.empty((step, len(pairs), n_vertices))
+    hz[:, 0] = h2[:, 0] = 1.0
+    h1[:, 0] = basis.mesh.vertex_weights
+    moments = np.empty((n, q_max + 1, len(pairs)))
+    for start in range(0, n, step):
+        a = ensemble.coeffs[:, start:start + step].T
+        s = a.shape[0]
+        np.matmul(a, basis.y.T, out=z[:s])
+        _recurrence_rows(hz[:s], z[:s], tmp[:s], z_rec)
+        for h, d in zip((h1, h2), basis.dy):
+            np.square(np.matmul(a / s1, d.T, out=g[:s]), out=g[:s])
+            _recurrence_rows(h[:s], g[:s], tmp[:s], g_rec)
+        for p, (k, j) in enumerate(pairs):
+            np.multiply(h1[:s, k // 2], h2[:s, j // 2], out=prods[:s, p])
+        np.matmul(hz[:s], prods[:s].transpose(0, 2, 1),
+                  out=moments[start:start + s])
+    per_step = np.tensordot(coef, moments, axes=((1, 2), (1, 2)))
+    values = np.trapezoid(per_step, dx=ensemble.grid.dt, axis=1)
+    return {q: float(v) for q, v in zip(orders, values)}
 
 
-def chaos_projection_quadrature(ensemble, mesh, u, q, block_steps=None):
+def chaos_projection_quadrature(ensemble, mesh, u, q):
     """Single-order quadrature projection (see the batched variant)."""
-    return chaos_projections_quadrature(ensemble, mesh, u, [q], block_steps)[int(q)]
+    return chaos_projections_quadrature(ensemble, mesh, u, [q])[int(q)]
 
 
 # ----------------------------------------------------------------------

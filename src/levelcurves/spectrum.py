@@ -158,6 +158,10 @@ def make_spectrum(entries, normalize=True, require_monopole=True):
                 "(pass require_monopole=False for monochromatic studies)"
             )
     total = sum((2 * e.ell + 1) / (4 * math.pi) * e.c0 for e in cleaned)
+    if not 0.0 < total < math.inf:
+        raise ValueError(
+            f"variance sum {total!r} is not positive and finite, so the "
+            "spectrum cannot be rescaled to unit variance")
     if normalize:
         cleaned = [
             MultipoleEntry(e.ell, e.c0 / total, e.beta, e.alpha) for e in cleaned

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from levelcurves.chaos import chaos_projections_quadrature
+from levelcurves.chaos import chaos_projections_quadrature, \
+    second_chaos_weight
 from levelcurves.geometry import boundary_functional, kac_rice_mean
-from levelcurves.spectrum import MultipoleEntry, make_spectrum
+from levelcurves.special import gaussian_density
+from levelcurves.spectrum import MultipoleEntry, make_spectrum, sigma1_sq
 from levelcurves.synthesis import TimeGrid, build_icosphere, \
     sample_time_processes
 
@@ -26,6 +28,28 @@ def spec_from_fractions(fracs, require_monopole=True):
     ]
     return make_spectrum(entries, normalize=True,
                          require_monopole=require_monopole)
+
+
+def second_chaos_hermite_form(ensemble, u):
+    """Second chaos grouped as the Hermite functional of the normalized
+    multipole fields, an oracle for ``second_chaos_sample_spectrum``:
+    (sigma1/2) sqrt(pi/2) phi(u) sum_ell (C_ell(0)(2 ell + 1)/(4 pi))
+    w_ell(u) int_0^T int_S2 H_2(Zhat_ell) dx dt, where the sphere integral
+    is exact in the coefficients: int H_2(Zhat_ell) dx = (4 pi/(2 ell + 1))
+    sum_m H_2(a_(ell m)/sqrt(C_ell(0)))."""
+    spec = ensemble.spectrum
+    s1 = math.sqrt(sigma1_sq(spec))
+    dt = ensemble.grid.dt
+    total = 0.0
+    for e in spec.entries:
+        rows = ensemble.rows_for(e.ell)
+        ahat_sq = ensemble.coeffs[rows] ** 2 / e.c0
+        sphere_integral = (4.0 * math.pi / (2 * e.ell + 1)) \
+            * (ahat_sq - 1.0).sum(axis=0)
+        time_integral = float(np.trapezoid(sphere_integral, dx=dt))
+        total += (e.c0 * (2 * e.ell + 1) / (4.0 * math.pi)) \
+            * second_chaos_weight(spec, e.ell, u) * time_integral
+    return 0.5 * s1 * math.sqrt(math.pi / 2.0) * gaussian_density(u) * total
 
 
 def kac_rice_mean_check(spec, basis, levels, seed, reps, bound=0.02,

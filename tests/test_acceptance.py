@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import kac_rice_mean_check, spec_from_fractions
+from conftest import kac_rice_mean_check, second_chaos_hermite_form, \
+    spec_from_fractions
 from levelcurves.chaos import (
     chaos_projection_quadrature,
     first_chaos_projection,
     norm_hermite_coeff,
-    second_chaos_hermite_form,
     second_chaos_sample_spectrum,
     second_chaos_variance_exact,
 )

@@ -1,13 +1,14 @@
+import functools
 import math
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import spec_from_fractions
+from conftest import second_chaos_hermite_form, spec_from_fractions
 from levelcurves.chaos import (
-    _norm_expansion_poly_exact,
     asymptotic_variance_constants,
     chaos_projection_quadrature,
     chaos_projections_quadrature,
@@ -19,23 +20,30 @@ from levelcurves.chaos import (
     norm_hermite_coeff,
     sample_power_spectrum,
     second_chaos_sample_spectrum,
-    second_chaos_hermite_form,
     second_chaos_variance_exact,
     second_chaos_weight,
 )
 from levelcurves.geometry import boundary_functional
 from levelcurves.special import gaussian_density
-from levelcurves.spectrum import MultipoleEntry, classify_regime, make_spectrum
+from levelcurves.spectrum import (
+    MultipoleEntry,
+    classify_regime,
+    make_spectrum,
+    sigma1_sq,
+)
 from levelcurves.synthesis import HarmonicBasis, TimeGrid, build_icosphere, \
     sample_time_processes
 
 LONG_SPEC = None
+SHORT_SPEC = None
 
 
 def setup_module():
-    global LONG_SPEC
+    global LONG_SPEC, SHORT_SPEC
     LONG_SPEC = spec_from_fractions({0: (0.3, 0.9, None), 1: (0.45, 0.3, None),
                                      3: (0.25, 0.8, None)})
+    SHORT_SPEC = spec_from_fractions({0: (0.4, 1.0, 2.0), 2: (0.35, 1.0, 2.5),
+                                      3: (0.25, 1.0, 3.0)})
 
 
 # ----------------------------------------------------------------------
@@ -46,11 +54,11 @@ def test_norm_expansion_poly_values():
     assert norm_expansion_poly(0, 123.4) == 1.0
     assert norm_expansion_poly(1, 0.25) == pytest.approx(0.5, abs=1e-15)
     # high-precision oracle: exact rational evaluation
-    exact = _norm_expansion_poly_exact(2, Fraction(1, 4))
+    exact = norm_expansion_poly(2, Fraction(1, 4))
     assert exact == Fraction(-1, 8)
     assert norm_expansion_poly(2, 0.25) == pytest.approx(float(exact), rel=1e-14)
     for order in range(8):
-        exact = float(_norm_expansion_poly_exact(order, Fraction(1, 4)))
+        exact = float(norm_expansion_poly(order, Fraction(1, 4)))
         assert norm_expansion_poly(order, 0.25) == pytest.approx(exact, rel=1e-12)
 
 
@@ -315,6 +323,87 @@ def test_chaos_orthogonality_and_expansion_consistency(mesh3):
         for _ in range(300)
     ])
     assert abs(observed) < 4 * boots.std(ddof=1)
+
+
+# ----------------------------------------------------------------------
+# Moment-matrix kernel against the triple-product kernel it replaced
+# ----------------------------------------------------------------------
+
+def _oracle_hermite_rows(q_max, x):
+    """H_0..H_q_max of x by the recurrence H_(q+1) = x H_q - q H_(q-1)."""
+    h = np.empty((q_max + 1,) + x.shape)
+    h[0] = 1.0
+    if q_max >= 1:
+        h[1] = x
+    for q in range(1, q_max):
+        h[q + 1] = x * h[q] - q * h[q - 1]
+    return h
+
+
+def _oracle_projections(ensemble, basis, u, orders):
+    """The triple-product kernel: (V, S) field and normalized gradients
+    over all slices at once, every Hermite row up to q_max, and one
+    weighted vertex sum w @ (H_(q-m)(Z) H_k(g1) H_(m-k)(g2)) per term."""
+    orders = sorted(set(orders))
+    q_max = orders[-1]
+    s1 = math.sqrt(sigma1_sq(ensemble.spectrum))
+    table = chaos_table(u, q_max, sigma1=s1)
+    a = ensemble.coeffs
+    d1, d2 = basis.dy
+    hz = _oracle_hermite_rows(q_max, basis.y @ a)
+    h1 = _oracle_hermite_rows(q_max, (d1 @ a) / s1)
+    h2 = _oracle_hermite_rows(q_max, (d2 @ a) / s1)
+    w_quad = basis.mesh.vertex_weights
+    out = {}
+    for q in orders:
+        acc = np.zeros(a.shape[1])
+        for m, k, wgt in table.terms(q):
+            acc += wgt * (w_quad @ (hz[q - m] * h1[k] * h2[m - k]))
+        out[q] = float(np.trapezoid(acc, dx=ensemble.grid.dt))
+    return out
+
+
+@functools.cache
+def _basis(level, spectrum_name):
+    spec = LONG_SPEC if spectrum_name == "long" else SHORT_SPEC
+    return HarmonicBasis(build_icosphere(level), spec.ells)
+
+
+@st.composite
+def quadrature_cases(draw):
+    """(ensemble, basis, u, orders) over meshes 0-4, 2-7 time steps,
+    order sets within 1..6, u in [-2.5, 2.5] and the long and short
+    test spectra."""
+    name = draw(st.sampled_from(["long", "short"]))
+    spec = LONG_SPEC if name == "long" else SHORT_SPEC
+    basis = _basis(draw(st.integers(0, 4)), name)
+    grid = TimeGrid(draw(st.sampled_from([0.25, 0.5, 1.0])),
+                    draw(st.integers(2, 7)))
+    ens = sample_time_processes(spec, grid, draw(st.integers(0, 2**32 - 1)))
+    orders = draw(st.sets(st.integers(1, 6), min_size=1))
+    return ens, basis, draw(st.floats(-2.5, 2.5)), orders
+
+
+@given(quadrature_cases())
+def test_moment_matrix_kernel_matches_triple_product_kernel(case):
+    ens, basis, u, orders = case
+    got = chaos_projections_quadrature(ens, basis, u, orders)
+    expected = _oracle_projections(ens, basis, u, orders)
+    assert got.keys() == expected.keys()
+    for q, old in expected.items():
+        assert abs(got[q] - old) <= 1e-12 * max(1.0, abs(old))
+
+
+@given(quadrature_cases())
+def test_quadrature_is_symmetric_under_field_and_level_sign_flip(case):
+    # H_(q-m)(-Z) beta_(q-m)(-u) = H_(q-m)(Z) beta_(q-m)(u), and the
+    # gradient orders k, m - k are even
+    ens, basis, u, orders = case
+    flipped = replace(ens, coeffs=-ens.coeffs)
+    got = chaos_projections_quadrature(ens, basis, u, orders)
+    mirror = chaos_projections_quadrature(flipped, basis, -u, orders)
+    for q in orders:
+        assert abs(mirror[q] - got[q]) <= 1e-12 * max(1.0, abs(got[q]))
 
 
 # ----------------------------------------------------------------------

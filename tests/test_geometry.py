@@ -258,6 +258,28 @@ def test_extract_level_curves_matches_float_gather_path(block):
     assert curves.perturbed_vertices == n_pert
 
 
+@given(value_blocks(exact_hits=False), st.floats(0.05, 0.5),
+       st.integers(0, 2**32 - 1))
+def test_isolated_exact_hits_give_the_same_length_nudged_down(block, share,
+                                                              seed):
+    # hits must be isolated (no two on one mesh edge): two adjacent hits
+    # nudged together can move the total by a whole edge length
+    vals, mesh, u = block
+    vals = vals.reshape(mesh.n_vertices, -1)
+    assume(not np.any(vals == u))
+    hits = np.random.default_rng(seed).random(vals.shape) < share
+    edges = mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    e_idx, s_idx = np.nonzero(hits[edges[:, 0]] & hits[edges[:, 1]])
+    hits[edges[e_idx, 0], s_idx] = False
+    hits[edges[e_idx, 1], s_idx] = False
+    assume(hits.any())
+    up, n_up = isoline_lengths(np.where(hits, u, vals), mesh, u)
+    down, n_down = isoline_lengths(
+        np.where(hits, u - _EXACT_HIT_NUDGE, vals), mesh, u)
+    assert (n_up, n_down) == (np.count_nonzero(hits), 0)
+    assert np.all(np.abs(up - down) <= 1e-9 * np.maximum(1.0, down))
+
+
 # ----------------------------------------------------------------------
 # Kac-Rice mean
 # ----------------------------------------------------------------------

@@ -56,11 +56,15 @@ def test_spectrum_validation():
         make_spectrum([MultipoleEntry(0, 1.0, 1.5)])
     with pytest.raises(ValueError, match="normalized"):
         make_spectrum([MultipoleEntry(0, 1.0, 0.5)], normalize=False)
-    # the variance sum overflows, so every rescaled c0 is 0; a raise, not
-    # an assert, so the check also holds under python -O
+    # the variance sum overflows to inf; a raise, not an assert, so the
+    # check also holds under python -O
     with pytest.raises(ValueError, match="unit variance"):
         make_spectrum([MultipoleEntry(0, 1.7e308, 0.5),
                        MultipoleEntry(50, 1.7e308, 0.5)])
+    # the variance sum underflows to 0 (every c0 subnormal): a ValueError,
+    # not a division by zero
+    with pytest.raises(ValueError, match="positive and finite"):
+        make_spectrum([MultipoleEntry(0, 5e-324, 0.5)])
     # monochromatic escape hatch
     spec = make_spectrum([MultipoleEntry(2, 1.0, 0.5)], require_monopole=False)
     assert spec.sigma0_sq == pytest.approx(1.0, abs=1e-12)
