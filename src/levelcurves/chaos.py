@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -148,15 +148,23 @@ class ChaosTable:
         return out
 
 
+@lru_cache(maxsize=None)
+def _alpha_table(q_max):
+    """Read-only alpha_(n, m) for n, m <= q_max, built once per q_max."""
+    alpha = np.zeros((q_max + 1, q_max + 1))
+    for n in range(0, q_max + 1, 2):
+        for m in range(0, q_max + 1, 2):
+            alpha[n, m] = norm_hermite_coeff(n, m)
+    alpha.flags.writeable = False
+    return alpha
+
+
 def chaos_table(u, q_max, sigma1=1.0):
     """Populate the alpha/beta tables and the per-(q, m, k) weights."""
     q_max = int(q_max)
     if not 0 <= q_max <= 12:
         raise ValueError("q_max must lie in [0, 12] (factorial growth)")
-    alpha = np.zeros((q_max + 1, q_max + 1))
-    for n in range(0, q_max + 1, 2):
-        for m in range(0, q_max + 1, 2):
-            alpha[n, m] = norm_hermite_coeff(n, m)
+    alpha = _alpha_table(q_max)
     beta = np.array([level_hermite_coeff(l, u) for l in range(q_max + 1)])
     weights = np.zeros((q_max + 1,) * 3)
     for q in range(q_max + 1):

@@ -29,11 +29,11 @@ variables.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy import stats
 
 from . import mcstats
 from .chaos import (
@@ -110,12 +110,18 @@ def _rosenblatt_plan(sampler):
     return root, m_len, math.sqrt(var_sum)
 
 
+_FFT_BUFFER_BYTES = 1 << 23    # complex FFT input of one batch of draws
+
+
 def sample_rosenblatt(sampler, count, seed):
     """``count`` independent standard (zero-mean, unit-variance)
     Rosenblatt draws.
 
-    FFTs are batched for speed; each draw consumes a fixed contiguous run
-    of the generator stream, so results do not depend on the batch size.
+    FFTs run in place on batches while a second thread draws the next
+    batch's normals; each draw consumes a fixed contiguous run of the
+    generator stream, so results do not depend on the batch size.  All
+    buffers are allocated once per call: first-touch page faults of fresh
+    arrays would serialize the two threads.
     """
     count = int(count)
     if count <= 0:
@@ -124,20 +130,29 @@ def sample_rosenblatt(sampler, count, seed):
     rng = np.random.default_rng(seed)
     n = sampler.n_inner
     n_fft = (count + 1) // 2
-    batch = max(1, min(n_fft, 64_000_000 // (32 * m_len)))
+    batch = max(1, min(n_fft, _FFT_BUFFER_BYTES // (16 * m_len)))
+    normals = np.empty((2, batch, 2, m_len))
+    z = np.empty((batch, m_len), dtype=complex)
+    sq = np.empty((batch, n))
     out = np.empty(2 * n_fft)
-    done = 0
-    while done < n_fft:
-        b = min(batch, n_fft - done)
-        g = rng.standard_normal((b, 2, m_len))
-        w = np.fft.fft(root * (g[:, 0, :] + 1j * g[:, 1, :]), axis=1)
-        xi_re = w.real[:, :n]
-        xi_im = w.imag[:, :n]
-        out[2 * done:2 * (done + b):2] = \
-            ((xi_re * xi_re).sum(axis=1) - n) / sd
-        out[2 * done + 1:2 * (done + b) + 1:2] = \
-            ((xi_im * xi_im).sum(axis=1) - n) / sd
-        done += b
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        def draw(start):
+            g = normals[start // batch % 2, :min(batch, n_fft - start)]
+            return pool.submit(rng.standard_normal, g.shape, out=g)
+
+        pending = draw(0)
+        for start in range(0, n_fft, batch):
+            g = pending.result()
+            if start + batch < n_fft:
+                pending = draw(start + batch)
+            b = g.shape[0]
+            np.multiply(root, g[:, 0], out=z.real[:b])
+            np.multiply(root, g[:, 1], out=z.imag[:b])
+            np.fft.fft(z[:b], axis=1, out=z[:b])
+            for part, offset in ((z.real, 0), (z.imag, 1)):
+                np.multiply(part[:b, :n], part[:b, :n], out=sq[:b])
+                out[2 * start + offset:2 * (start + b):2] = \
+                    (sq[:b].sum(axis=1) - n) / sd
     return out[:count]
 
 
@@ -328,6 +343,8 @@ def limit_law_report(spectrum, u, horizon, replicates, seed,
     run, and the reported p-values are the nominal ones (``kstest`` and
     ``ks_2samp``), so they are conservative; see ``DistributionReport``.
     """
+    from scipy import stats    # the only scipy import of any study
+
     report = classify_regime(spectrum)
     if report.regime == BOUNDARY:
         raise ValueError(

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .special import legendre_table
 
@@ -388,7 +387,7 @@ def classify_regime(spectrum):
 class CsqIntegral:
     """Double time integral of C_ell(t-s)^2 over [0, T]^2.
 
-    ``numeric`` is the quadrature value 2 int_0^T (T - tau) C(tau)^2 dtau;
+    ``numeric`` is the exact value 2 int_0^T (T - tau) C(tau)^2 dtau;
     ``asymptotic`` the large-T prediction (None on the 2 beta = 1
     boundary): T^(2-2 beta) C(0)^2 / ((1-beta)(1-2 beta)) under long
     memory (from 2 [1/(1-2b) - 1/(2-2b)] = 1/((1-b)(1-2b))),
@@ -400,8 +399,30 @@ class CsqIntegral:
     kind: str
 
 
+def _lag_weighted_power_integral(p, horizon):
+    """int_0^T (T - tau) (1 + tau)^(-p) dtau.  With L = log1p(T) and
+    b = 2 - p it is (1 + T) q(1 - p) - q(b), q(k) = expm1(k L) / k (= L at
+    k = 0: the log cases p = 1, 2).  For small L those terms cancel, so
+    the series sum_(n>=2) (1 + b + ... + b^(n-2)) L^n / n! is summed."""
+    T = float(horizon)
+    L = math.log1p(T)
+    b = 2.0 - p
+    if L < 0.1 and abs(b) * L < 1.0:
+        total, h, term = 0.0, 1.0, L
+        for n in range(2, 24):
+            term *= L / n
+            total += h * term
+            h = 1.0 + b * h
+        return total
+
+    def quotient(k):
+        return math.expm1(k * L) / k if k else L
+
+    return (1.0 + T) * quotient(1.0 - p) - quotient(b)
+
+
 def double_time_integral_csq(spectrum, ell, horizon):
-    """Exact (quadrature) and asymptotic values of
+    """Exact (closed-form) and asymptotic values of
     int over [0,T]^2 of C_ell(t-s)^2 dt ds."""
     T = float(horizon)
     if T <= 0:
@@ -409,16 +430,8 @@ def double_time_integral_csq(spectrum, ell, horizon):
     e = spectrum.entry(int(ell))
     if e is None:
         raise ValueError(f"ell={ell} not present in the spectrum")
-    expo = _exponent(e)
-
-    def integrand(tau):
-        return (T - tau) * (e.c0 * (1.0 + tau) ** (-expo)) ** 2
-
-    pts = [1.0] if T > 1.0 else []
-    val, _ = integrate.quad(
-        integrand, 0.0, T, points=pts or None, limit=400, epsrel=1e-9, epsabs=0.0
-    )
-    numeric = 2.0 * val
+    numeric = 2.0 * e.c0**2 \
+        * _lag_weighted_power_integral(2.0 * _exponent(e), T)
 
     b = e.beta
     if b < 0.5:
@@ -434,9 +447,9 @@ def double_time_integral_csq(spectrum, ell, horizon):
 
 
 def integrated_sq_cov(spectrum, ell):
-    """int over R of C_ell(tau)^2 dtau; adaptive quadrature on [0, A] plus
-    the exact power-law tail.  Requires an integrable square (2 beta > 1,
-    always true at beta = 1 since alpha >= 2)."""
+    """int over R of C_ell(tau)^2 dtau = 2 c0^2 / (p - 1), p = 2 x the
+    exponent.  Requires an integrable square (2 beta > 1, always true at
+    beta = 1 since alpha >= 2)."""
     e = spectrum.entry(int(ell))
     if e is None:
         raise ValueError(f"ell={ell} not present in the spectrum")
@@ -445,17 +458,7 @@ def integrated_sq_cov(spectrum, ell):
         raise ValueError(
             f"C_ell^2 is not integrable for ell={ell} (2 beta = {2 * e.beta})"
         )
-    cut = 100.0
-    body, _ = integrate.quad(
-        lambda tau: (e.c0 * (1.0 + tau) ** (-expo)) ** 2,
-        0.0,
-        cut,
-        limit=200,
-        epsrel=1e-9,
-        epsabs=0.0,
-    )
-    tail = e.c0**2 * (1.0 + cut) ** (1.0 - 2.0 * expo) / (2.0 * expo - 1.0)
-    return 2.0 * (body + tail)
+    return 2.0 * e.c0**2 / (2.0 * expo - 1.0)
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -311,6 +312,15 @@ def _plan_embedding(spectrum, grid, ell):
         doublings += 1
 
 
+@lru_cache(maxsize=16)
+def _cached_plan(spectrum, grid, ell):
+    """``_plan_embedding`` memoized on the values of its arguments (a plan
+    is a pure function of them), with a read-only root."""
+    plan = _plan_embedding(spectrum, grid, ell)
+    plan[0].flags.writeable = False
+    return plan
+
+
 def sample_time_processes(spectrum, grid, seed):
     """Draw one realization of every coefficient path a_(ell m)(t).
 
@@ -328,31 +338,32 @@ def sample_time_processes(spectrum, grid, seed):
         rng = np.random.Generator(np.random.PCG64(ss))
         entropy = ss.entropy if isinstance(ss.entropy, int) else -1
 
-    labels = []
-    rows = []
+    labels = tuple((e.ell, m) for e in spectrum.entries
+                   for m in range(-e.ell, e.ell + 1))
+    n = grid.n_steps
+    coeffs = np.empty((len(labels), n))
     clipped = 0
     doublings = 0
-    n = grid.n_steps
+    row = 0
     for e in spectrum.entries:
-        root_lam, m_len, n_clip, n_dbl = _plan_embedding(spectrum, grid, e.ell)
+        root_lam, m_len, n_clip, n_dbl = _cached_plan(spectrum, grid, e.ell)
         clipped += n_clip
         doublings = max(doublings, n_dbl)
-        count = 2 * e.ell + 1
-        n_pairs = (count + 1) // 2
-        g = rng.standard_normal((n_pairs, 2, m_len))
-        w = np.fft.fft(root_lam * (g[:, 0, :] + 1j * g[:, 1, :]), axis=1)
-        block = np.empty((2 * n_pairs, n))
-        block[0::2] = w.real[:, :n]
-        block[1::2] = w.imag[:, :n]
-        rows.append(block[:count])
-        labels.extend((e.ell, m) for m in range(-e.ell, e.ell + 1))
-    coeffs = np.vstack(rows) if rows else np.empty((0, n))
+        g = rng.standard_normal((e.ell + 1, 2, m_len))
+        z = np.empty((e.ell + 1, m_len), dtype=complex)
+        np.multiply(root_lam, g[:, 0], out=z.real)
+        np.multiply(root_lam, g[:, 1], out=z.imag)
+        np.fft.fft(z, axis=1, out=z)
+        # rows alternate the real and imaginary paths of the ell + 1 pairs
+        coeffs[row:row + 2 * e.ell + 1:2] = z.real[:, :n]
+        coeffs[row + 1:row + 2 * e.ell + 1:2] = z.imag[:e.ell, :n]
+        row += 2 * e.ell + 1
     coeffs.flags.writeable = False
     return CoefficientEnsemble(
         spectrum=spectrum,
         grid=grid,
         coeffs=coeffs,
-        labels=tuple(labels),
+        labels=labels,
         seed_entropy=entropy,
         clipped_eigenvalues=clipped,
         embedding_doublings=doublings,

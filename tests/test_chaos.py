@@ -101,6 +101,19 @@ def test_chaos_table_weights():
         chaos_table(0.0, 13)
 
 
+def test_chaos_table_alpha_is_cached_read_only_and_exact():
+    for q_max in range(13):
+        fresh = np.zeros((q_max + 1, q_max + 1))
+        for n in range(q_max + 1):
+            for m in range(q_max + 1):
+                fresh[n, m] = norm_hermite_coeff(n, m)
+        alpha = chaos_table(0.3, q_max).alpha
+        assert np.array_equal(alpha, fresh)
+        assert chaos_table(-1.1, q_max, sigma1=2.0).alpha is alpha
+        with pytest.raises(ValueError, match="read-only"):
+            alpha[0, 0] = 1.0
+
+
 # ----------------------------------------------------------------------
 # Sample power spectrum
 # ----------------------------------------------------------------------

@@ -1,9 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import levelcurves
 from levelcurves.cli import (
     RunConfig,
     StudyResult,
@@ -233,3 +237,33 @@ def test_main_replay(tmp_path, capsys):
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])
+
+
+# ----------------------------------------------------------------------
+# Cold start
+# ----------------------------------------------------------------------
+
+_SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def _run_fresh(code, cwd):
+    src = str(Path(levelcurves.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_import_and_mean_length_study_load_no_scipy(tmp_path):
+    assert _run_fresh(f"import sys, levelcurves.cli; print({_SCIPY_MODULES})",
+                      tmp_path) == "[]"
+    (tmp_path / "mean.cfg").write_text(MEAN_CFG.replace(
+        "replicates = 60", "replicates = 4"))
+    code = ("import sys\n"
+            "from levelcurves.cli import main\n"
+            "assert main(['mean-length', '--config', 'mean.cfg', "
+            "'--out', 'out']) in (0, 2)\n"
+            f"print({_SCIPY_MODULES})")
+    assert _run_fresh(code, tmp_path) == "[]"
+    assert (tmp_path / "out" / "manifest.txt").exists()

@@ -1,10 +1,12 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from conftest import spec_from_fractions
+from levelcurves import limits
 from levelcurves.limits import (
     BerryProfile,
     DistributionReport,
@@ -85,6 +87,77 @@ def test_rosenblatt_determinism_and_scale_constant():
 # ----------------------------------------------------------------------
 # Composite references
 # ----------------------------------------------------------------------
+
+def _oracle_sample_rosenblatt(sampler, count, seed, batch=None):
+    """The single-threaded sampler that drew each batch's normals into a
+    fresh array (default batch: 64 MB of normals), as an oracle."""
+    root, m_len, sd = limits._rosenblatt_plan(sampler)
+    rng = np.random.default_rng(seed)
+    n = sampler.n_inner
+    n_fft = (count + 1) // 2
+    batch = batch or max(1, min(n_fft, 64_000_000 // (32 * m_len)))
+    out = np.empty(2 * n_fft)
+    done = 0
+    while done < n_fft:
+        b = min(batch, n_fft - done)
+        g = rng.standard_normal((b, 2, m_len))
+        w = np.fft.fft(root * (g[:, 0, :] + 1j * g[:, 1, :]), axis=1)
+        xi_re = w.real[:, :n]
+        xi_im = w.imag[:, :n]
+        out[2 * done:2 * (done + b):2] = \
+            ((xi_re * xi_re).sum(axis=1) - n) / sd
+        out[2 * done + 1:2 * (done + b) + 1:2] = \
+            ((xi_im * xi_im).sum(axis=1) - n) / sd
+        done += b
+    return out[:count]
+
+
+def _batch(sampler):
+    return limits._FFT_BUFFER_BYTES // (16 * sampler.burn_factor
+                                        * sampler.n_inner)
+
+
+def test_rosenblatt_matches_single_threaded_oracle():
+    sampler = RosenblattSampler(beta=0.2, n_inner=2**10)
+    b = _batch(sampler)   # FFTs per batch; each FFT gives two draws
+    counts = (1, 2, 3, 2 * b - 2, 2 * b - 1, 2 * b, 2 * b + 1, 2 * b + 2,
+              2 * b + 3, 10 * b + 3)
+    for seed in (5, 6):
+        for count in counts:
+            x = sample_rosenblatt(sampler, count, seed)
+            assert x.shape == (count,)
+            for oracle_batch in (None, 4, 8, 30):
+                assert np.array_equal(x, _oracle_sample_rosenblatt(
+                    sampler, count, seed, oracle_batch)), (seed, count)
+
+
+@pytest.mark.parametrize("fail_at", [1, 3])
+def test_rosenblatt_generator_error_reaches_caller(monkeypatch, fail_at):
+    # the normals are drawn on a second thread; its error must surface in
+    # the caller, and the thread must be gone afterwards
+    real_rng = np.random.default_rng
+
+    class FailingGenerator:
+        def __init__(self, seed):
+            self.rng = real_rng(seed)
+            self.calls = 0
+
+        def standard_normal(self, *args, **kwargs):
+            self.calls += 1
+            if self.calls == fail_at:
+                raise RuntimeError("generator failed")
+            return self.rng.standard_normal(*args, **kwargs)
+
+    sampler = RosenblattSampler(beta=0.2, n_inner=2**10)
+    baseline = threading.active_count()
+    monkeypatch.setattr(limits.np.random, "default_rng", FailingGenerator)
+    with pytest.raises(RuntimeError, match="generator failed"):
+        sample_rosenblatt(sampler, 8 * _batch(sampler), 1)
+    assert threading.active_count() == baseline
+    monkeypatch.undo()
+    sample_rosenblatt(sampler, 8 * _batch(sampler), 1)
+    assert threading.active_count() == baseline
+
 
 def test_composite_single_term_matches_standard():
     n = 5000

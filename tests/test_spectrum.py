@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy import integrate
 
 from conftest import spec_from_fractions
 from levelcurves.special import legendre
@@ -10,6 +12,7 @@ from levelcurves.spectrum import (
     LONG_MEMORY,
     SHORT_MEMORY,
     MultipoleEntry,
+    PowerSpectrum,
     classify_regime,
     double_time_integral_csq,
     grad_cov_matrix,
@@ -373,6 +376,75 @@ def test_integrated_sq_cov_closed_form():
         2 * e2.c0**2 / 0.6, rel=1e-9)
     with pytest.raises(ValueError):
         integrated_sq_cov(make_spectrum([MultipoleEntry(0, 1.0, 0.4)]), 0)
+
+
+def _quad_double_time_integral_csq(spectrum, ell, horizon):
+    """Oracle: 2 int_0^T (T - tau) C(tau)^2 dtau by adaptive quadrature,
+    as the package computed it before the closed form, with breakpoints
+    at the decades instead of at 1 alone (with the single breakpoint,
+    quad misses by 9.5% at p = 4.4, T = 1e5)."""
+    T = float(horizon)
+    e = spectrum.entry(int(ell))
+    expo = e.alpha if e.beta == 1.0 else e.beta
+    pts = [10.0 ** k for k in range(6) if 10.0 ** k < T]
+    val, _ = integrate.quad(
+        lambda tau: (T - tau) * (e.c0 * (1.0 + tau) ** (-expo)) ** 2,
+        0.0, T, points=pts or None, limit=400, epsrel=1e-9, epsabs=0.0)
+    return 2.0 * val
+
+
+def _quad_integrated_sq_cov(spectrum, ell):
+    """Oracle: int_R C^2 as the package computed it before the closed
+    form, by quadrature on [0, 100] plus the exact power-law tail."""
+    e = spectrum.entry(int(ell))
+    expo = e.alpha if e.beta == 1.0 else e.beta
+    cut = 100.0
+    body, _ = integrate.quad(lambda tau: (e.c0 * (1.0 + tau) ** (-expo)) ** 2,
+                             0.0, cut, limit=200, epsrel=1e-9, epsabs=0.0)
+    tail = e.c0**2 * (1.0 + cut) ** (1.0 - 2.0 * expo) / (2.0 * expo - 1.0)
+    return 2.0 * (body + tail)
+
+
+def _one_multipole(c0, p):
+    """C(tau) = c0 (1 + tau)^(-p/2), built without make_spectrum so that
+    p/2 may leave the admissible (beta, alpha) ranges."""
+    if p < 2.0:
+        return PowerSpectrum((MultipoleEntry(0, c0, p / 2.0),))
+    return PowerSpectrum((MultipoleEntry(0, c0, 1.0, p / 2.0),))
+
+
+_NEAR_ONE_AND_TWO = st.one_of(
+    st.floats(1.0 - 1e-9, 1.0 + 1e-9), st.floats(2.0 - 1e-9, 2.0 + 1e-9))
+
+
+@given(p=st.one_of(st.floats(0.6, 6.0), _NEAR_ONE_AND_TWO),
+       log_t=st.floats(-3.0, 5.0), c0=st.floats(0.1, 10.0))
+def test_csq_closed_forms_match_quadrature(p, log_t, c0):
+    spec = _one_multipole(c0, p)
+    T = 10.0 ** log_t
+    exact = _quad_double_time_integral_csq(spec, 0, T)
+    assert double_time_integral_csq(spec, 0, T).numeric == \
+        pytest.approx(exact, rel=1e-12, abs=0.0)
+    if p > 1.0:
+        assert integrated_sq_cov(spec, 0) == pytest.approx(
+            _quad_integrated_sq_cov(spec, 0), rel=1e-12, abs=0.0)
+
+
+def test_csq_closed_form_elementary_cases():
+    # int_0^T (T - tau)(1 + tau)^(-p) dtau with a = 1 + T: the log cases
+    # a ln a - T (p = 1) and T - ln a (p = 2), and the cancellation-free
+    # T^2 / (2a) (p = 3) and T^2 (2a + 1) / (6 a^2) (p = 4), which pin
+    # the small-horizon branch to 1e-13 (expm1 forms alone reach 4e-13)
+    for T in 1e-3 * 1.07 ** np.arange(120.0):
+        a = 1.0 + T
+        cases = {1.0: (a * math.log1p(T) - T, 1e-12),
+                 2.0: (T - math.log1p(T), 1e-12),
+                 3.0: (T * T / (2.0 * a), 1e-13),
+                 4.0: (T * T * (2.0 * a + 1.0) / (6.0 * a * a), 1e-13)}
+        for p, (want, rel) in cases.items():
+            got = double_time_integral_csq(_one_multipole(1.0, p), 0, T)
+            assert got.numeric == \
+                pytest.approx(2.0 * want, rel=rel, abs=0.0), (p, T)
 
 
 # ----------------------------------------------------------------------

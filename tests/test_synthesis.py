@@ -5,13 +5,14 @@ import pytest
 from scipy import sparse, stats
 
 from conftest import spec_from_fractions
-from levelcurves.spectrum import MultipoleEntry, make_spectrum, multipole_cov, \
-    space_time_cov
+from levelcurves.spectrum import MultipoleEntry, PowerSpectrum, make_spectrum, \
+    multipole_cov, space_time_cov
 from levelcurves.synthesis import (
     _ICO_FACES,
     _ICO_VERTS,
     HarmonicBasis,
     TimeGrid,
+    _cached_plan,
     _plan_embedding,
     _pole_dodge_rotation,
     _spherical_triangle_areas,
@@ -198,6 +199,101 @@ def test_embedding_doubling_and_failure_paths(monkeypatch):
     assert n_dbl == 4
     assert n_clip >= 1
     assert m_len == 2 * (177 - 1)
+
+
+def _oracle_sample_time_processes(spectrum, grid, seed):
+    """(coeffs, labels, clipped, doublings) from the sampler that planned
+    every multipole on every draw and stacked per-multipole blocks."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    labels, rows = [], []
+    clipped = doublings = 0
+    n = grid.n_steps
+    for e in spectrum.entries:
+        root_lam, m_len, n_clip, n_dbl = _plan_embedding(spectrum, grid, e.ell)
+        clipped += n_clip
+        doublings = max(doublings, n_dbl)
+        count = 2 * e.ell + 1
+        n_pairs = (count + 1) // 2
+        g = rng.standard_normal((n_pairs, 2, m_len))
+        w = np.fft.fft(root_lam * (g[:, 0, :] + 1j * g[:, 1, :]), axis=1)
+        block = np.empty((2 * n_pairs, n))
+        block[0::2] = w.real[:, :n]
+        block[1::2] = w.imag[:, :n]
+        rows.append(block[:count])
+        labels.extend((e.ell, m) for m in range(-e.ell, e.ell + 1))
+    return np.vstack(rows), tuple(labels), clipped, doublings
+
+
+@pytest.mark.parametrize("horizon, dt", [(2000, 0.25), (25, 0.25), (7, 1.0)])
+def test_sampler_matches_uncached_sampler(horizon, dt):
+    grid = TimeGrid.for_horizon(horizon, dt)
+    for seed in (0, 1, 2, 1009):
+        ens = sample_time_processes(SPEC, grid, seed)
+        coeffs, labels, clipped, doublings = \
+            _oracle_sample_time_processes(SPEC, grid, seed)
+        assert np.array_equal(ens.coeffs, coeffs)
+        assert ens.labels == labels
+        assert (ens.clipped_eigenvalues, ens.embedding_doublings) == \
+            (clipped, doublings)
+
+
+@pytest.fixture
+def fresh_plans():
+    _cached_plan.cache_clear()
+    yield
+    _cached_plan.cache_clear()
+
+
+def test_guard_counters_reach_every_ensemble(monkeypatch, fresh_plans):
+    # the wide Gaussian bell of the doubling test forces 4 doublings and a
+    # clip on each multipole; every ensemble drawn from the cached plans
+    # must report them, not only the first after a miss
+    import levelcurves.synthesis as syn
+
+    monkeypatch.setattr(
+        syn, "multipole_cov",
+        lambda spectrum, ell, tau: np.exp(
+            -(np.asarray(tau, dtype=float) / 40.0) ** 2))
+    spec = spec_from_fractions({0: (0.5, 1.0, 2.0), 1: (0.5, 0.4, None)})
+    grid = TimeGrid(1.0, 12)
+    _, _, n_clip, _ = _plan_embedding(spec, grid, 0)
+    assert n_clip >= 1
+    for seed in range(4):
+        ens = sample_time_processes(spec, grid, seed)
+        assert ens.embedding_doublings == 4
+        assert ens.clipped_eigenvalues == 2 * n_clip
+    assert _cached_plan.cache_info().misses == 2
+
+
+def test_plans_are_shared_only_by_equal_spectra(fresh_plans):
+    fours = 4 * math.pi
+    base = (MultipoleEntry(0, fours / 2, 1.0, 2.5),
+            MultipoleEntry(1, fours / 6, 0.3))
+    up = math.nextafter
+
+    def variant(ell, **change):
+        return make_spectrum([
+            MultipoleEntry(e.ell, change.get("c0", e.c0),
+                           change.get("beta", e.beta),
+                           change.get("alpha", e.alpha))
+            if e.ell == ell else e for e in base], normalize=False)
+
+    spectra = [make_spectrum(base, normalize=False),
+               variant(1, c0=up(fours / 6, 9.0)),
+               variant(1, beta=up(0.3, 1.0)),
+               variant(0, alpha=up(2.5, 3.0))]
+    grid = TimeGrid(0.5, 101)
+    plans = [[_cached_plan(s, grid, ell) for ell in (0, 1)] for s in spectra]
+    assert _cached_plan.cache_info().misses == 8
+    assert len({id(plan) for row in plans for plan in row}) == 8
+    for s, row in zip(spectra, plans):
+        for ell, plan in zip((0, 1), row):
+            assert np.array_equal(plan[0], _plan_embedding(s, grid, ell)[0])
+            assert not plan[0].flags.writeable
+    # an equal spectrum built anew reuses the plans
+    again = PowerSpectrum(tuple(spectra[0].entries))
+    assert _cached_plan(again, grid, 1) is plans[0][1]
+    assert _cached_plan(spectra[0], TimeGrid(0.5, 102), 1) is not plans[0][1]
 
 
 # ----------------------------------------------------------------------
