@@ -296,10 +296,15 @@ def chaos_projections_quadrature(ensemble, mesh, u, orders):
     n = ensemble.grid.n_steps
     n_vertices = basis.mesh.n_vertices
     step = min(n, max(1, round(_BLOCK_VALUES / n_vertices)))
-    z, g, tmp = np.empty((3, step, n_vertices))
-    hz = np.empty((step, q_max + 1, n_vertices))
-    h1, h2 = np.empty((2, step, k_half + 1, n_vertices))
-    prods = np.empty((step, len(pairs), n_vertices))
+    # one allocation, so that glibc serves repeated calls from the same
+    # heap pages instead of mapping and faulting in fresh ones
+    rows = np.cumsum([3, q_max + 1, 2 * (k_half + 1), len(pairs)])
+    buf = np.split(np.empty(rows[-1] * step * n_vertices),
+                   rows[:-1] * step * n_vertices)
+    z, g, tmp = buf[0].reshape(3, step, n_vertices)
+    hz = buf[1].reshape(step, q_max + 1, n_vertices)
+    h1, h2 = buf[2].reshape(2, step, k_half + 1, n_vertices)
+    prods = buf[3].reshape(step, len(pairs), n_vertices)
     hz[:, 0] = h2[:, 0] = 1.0
     h1[:, 0] = basis.mesh.vertex_weights
     moments = np.empty((n, q_max + 1, len(pairs)))

@@ -399,12 +399,11 @@ class CsqIntegral:
     kind: str
 
 
-def _lag_weighted_power_integral(p, horizon):
+def _lag_weighted_power_integral(p, T):
     """int_0^T (T - tau) (1 + tau)^(-p) dtau.  With L = log1p(T) and
     b = 2 - p it is (1 + T) q(1 - p) - q(b), q(k) = expm1(k L) / k (= L at
     k = 0: the log cases p = 1, 2).  For small L those terms cancel, so
     the series sum_(n>=2) (1 + b + ... + b^(n-2)) L^n / n! is summed."""
-    T = float(horizon)
     L = math.log1p(T)
     b = 2.0 - p
     if L < 0.1 and abs(b) * L < 1.0:
