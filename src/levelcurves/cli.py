@@ -185,6 +185,10 @@ def _validate_config(cfg):
         raise ValueError("key 'functional' must be chaos2, chaos1 or length")
     if not 1 <= cfg.q_max <= 12:
         raise ValueError("key 'q_max' must lie in [1, 12]")
+    if cfg.reference_size < 1:
+        raise ValueError("key 'reference_size' must be >= 1")
+    if cfg.rosenblatt_n_inner < 16:
+        raise ValueError("key 'rosenblatt_n_inner' must be >= 16")
     need_horizon = cfg.study in ("berry-profile", "limit-law", "chaos-audit")
     if need_horizon and cfg.horizon is None:
         raise ValueError(f"study {cfg.study!r} requires key 'horizon'")

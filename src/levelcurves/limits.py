@@ -309,11 +309,14 @@ class DistributionReport:
     long memory the report also carries the Gaussian power check: the same
     samples tested against N(0, 1), which should fail.
 
-    The p-values are nominal KS p-values: their null distributions assume
-    a fixed law, not one standardized by the sample's own mean and SD, so
-    they are conservative (Lilliefors 1967) -- too large under the null,
-    and a check that requires p < alpha rejects less often than alpha
-    suggests.
+    The p-values are the exact finite-sample KS laws of ``mcstats``: the
+    Durbin-matrix law of the one-sample statistic (Marsaglia, Tsang & Wang
+    2003) with the Birnbaum-Tingey sum in its tail, and Hodges' (1958)
+    lattice-path count for the two-sample statistic.  They are nominal
+    p-values: their null distributions assume a fixed law, not one
+    standardized by the sample's own mean and SD, so they are conservative
+    (Lilliefors 1967) -- too large under the null, and a check that
+    requires p < alpha rejects less often than alpha suggests.
     """
 
     regime: str
@@ -340,11 +343,14 @@ def limit_law_report(spectrum, u, horizon, replicates, seed,
     check.  The boundary regime has no stated limit and is refused.
 
     The sample is standardized by its own mean and SD before the KS tests
-    run, and the reported p-values are the nominal ones (``kstest`` and
-    ``ks_2samp``), so they are conservative; see ``DistributionReport``.
+    run, and the reported p-values are the nominal ones
+    (``mcstats.ks_normal`` and ``mcstats.ks_two_sample``), so they are
+    conservative; see ``DistributionReport``.  Fewer than two replicates,
+    or a sample of zero spread, cannot be standardized and raise
+    ``ValueError``.
     """
-    from scipy import stats    # the only scipy import of any study
-
+    if replicates < 2:
+        raise ValueError("a limit-law test needs at least two replicates")
     report = classify_regime(spectrum)
     if report.regime == BOUNDARY:
         raise ValueError(
@@ -352,34 +358,40 @@ def limit_law_report(spectrum, u, horizon, replicates, seed,
             "min(beta0, 1) nor beta0 = 1 with all 2 beta > 1); no limit "
             "law is available"
         )
+    if report.regime == LONG_MEMORY and reference_size < 1:
+        raise ValueError("the Rosenblatt reference needs reference_size >= 1")
     grid = TimeGrid.for_horizon(horizon, dt)
     kernel = _functional_kernel(spectrum, u, grid, "length", mesh_level)
     master = np.random.SeedSequence(int(seed))
     pipe_seed, ref_seed = master.spawn(2)
     vals = np.array(mcstats.replicate_map(kernel, pipe_seed, replicates,
                                           workers=workers))
-    standardized = (vals - vals.mean()) / vals.std(ddof=1)
+    sd = vals.std(ddof=1)
+    if not sd > 0.0:
+        raise ValueError("the functional has zero spread over the replicates; "
+                         "it cannot be standardized")
+    standardized = (vals - vals.mean()) / sd
 
     if report.regime == SHORT_MEMORY:
-        ks = stats.kstest(standardized, "norm")
+        ks = mcstats.ks_normal(standardized)
         return DistributionReport(
             regime=report.regime, level=float(u), horizon=grid.horizon,
             standardized=standardized, reference=None,
-            ks_statistic=float(ks.statistic), ks_pvalue=float(ks.pvalue),
+            ks_statistic=ks.statistic, ks_pvalue=ks.pvalue,
             passed=bool(ks.pvalue > alpha), alpha=alpha,
         )
 
     reference = composite_reference_samples(spectrum, u, reference_size,
                                             ref_seed, n_inner=n_inner)
-    ks = stats.ks_2samp(standardized, reference)
-    gauss = stats.kstest(standardized, "norm")
+    ks = mcstats.ks_two_sample(standardized, reference)
+    gauss = mcstats.ks_normal(standardized)
     return DistributionReport(
         regime=report.regime, level=float(u), horizon=grid.horizon,
         standardized=standardized, reference=reference,
-        ks_statistic=float(ks.statistic), ks_pvalue=float(ks.pvalue),
+        ks_statistic=ks.statistic, ks_pvalue=ks.pvalue,
         passed=bool(ks.pvalue > alpha), alpha=alpha,
-        gaussian_ks_statistic=float(gauss.statistic),
-        gaussian_ks_pvalue=float(gauss.pvalue),
+        gaussian_ks_statistic=gauss.statistic,
+        gaussian_ks_pvalue=gauss.pvalue,
         gaussian_rejected=bool(gauss.pvalue < alpha),
     )
 

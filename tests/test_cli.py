@@ -41,6 +41,18 @@ mesh_level = 3
 level = 0.5
 """ + SPEC_BLOCK
 
+LONG_SPEC_BLOCK = """
+[multipole]
+ell = 0
+c0 = 1.0
+beta = 1.0
+alpha = 2.2
+[multipole]
+ell = 1
+c0 = 1.5
+beta = 0.2
+"""
+
 BERRY_CFG = """
 study = berry-profile
 seed = 11
@@ -97,6 +109,20 @@ def test_validation_bounds():
     with pytest.raises(ValueError, match="ks_alpha"):
         parse_config("study = mean-length\nlevel = 0\nks_alpha = 2\n"
                      + SPEC_BLOCK)
+
+
+@pytest.mark.parametrize("key, bad, good", [
+    ("reference_size", 0, 1),
+    ("reference_size", -5, 1),
+    ("rosenblatt_n_inner", 15, 16),
+    ("rosenblatt_n_inner", 0, 16),
+])
+def test_limit_law_sizes_are_validated_at_parse_time(key, bad, good):
+    head = "study = limit-law\nlevel = 0.0\nhorizon = 50\n"
+    with pytest.raises(ValueError, match=f"key '{key}' must be >= {good}"):
+        parse_config(head + f"{key} = {bad}\n" + LONG_SPEC_BLOCK)
+    cfg = parse_config(head + f"{key} = {good}\n" + LONG_SPEC_BLOCK)
+    assert getattr(cfg, key) == good
 
 
 # ----------------------------------------------------------------------
@@ -267,3 +293,19 @@ def test_import_and_mean_length_study_load_no_scipy(tmp_path):
             f"print({_SCIPY_MODULES})")
     assert _run_fresh(code, tmp_path) == "[]"
     assert (tmp_path / "out" / "manifest.txt").exists()
+
+
+def test_limit_law_study_loads_no_scipy(tmp_path):
+    """A long-memory limit-law study runs both KS tests without scipy."""
+    (tmp_path / "limit.cfg").write_text(
+        "study = limit-law\nseed = 5\nreplicates = 6\nmesh_level = 2\n"
+        "dt = 1.0\nhorizon = 50\nlevel = 0.0\nreference_size = 50\n"
+        "rosenblatt_n_inner = 256\n" + LONG_SPEC_BLOCK)
+    code = ("import sys\n"
+            "from levelcurves.cli import main\n"
+            "assert main(['limit-law', '--config', 'limit.cfg', "
+            "'--out', 'out']) in (0, 2)\n"
+            f"print({_SCIPY_MODULES})")
+    assert _run_fresh(code, tmp_path) == "[]"
+    summary = (tmp_path / "out" / "tables" / "limit_summary.csv").read_text()
+    assert "long-memory" in summary

@@ -249,6 +249,28 @@ def test_limit_law_refuses_boundary_regime():
         limit_law_report(boundary, 0.5, 50.0, 20, 1, mesh_level=2)
 
 
+def test_limit_law_rejects_too_few_replicates():
+    spec = spec_from_fractions({0: (0.4, 1.0, 2.0), 2: (0.6, 1.0, 2.5)})
+    for replicates in (0, 1):
+        with pytest.raises(ValueError, match="two replicates"):
+            limit_law_report(spec, 0.5, 50.0, replicates, 1, mesh_level=2)
+
+
+def test_limit_law_rejects_zero_spread(monkeypatch):
+    spec = spec_from_fractions({0: (0.4, 1.0, 2.0), 2: (0.6, 1.0, 2.5)})
+    monkeypatch.setattr(limits.mcstats, "replicate_map",
+                        lambda fn, seed, count, workers=1: [3.0] * count)
+    with pytest.raises(ValueError, match="zero spread"):
+        limit_law_report(spec, 0.5, 50.0, 8, 1, mesh_level=2)
+
+
+def test_limit_law_rejects_empty_reference():
+    spec = spec_from_fractions({0: (0.26, 1.0, 2.2), 1: (0.74, 0.2, None)})
+    with pytest.raises(ValueError, match="reference_size"):
+        limit_law_report(spec, 0.0, 50.0, 8, 1, mesh_level=2,
+                         reference_size=0)
+
+
 def test_limit_law_short_memory_smoke():
     spec = spec_from_fractions({0: (0.4, 1.0, 2.0), 2: (0.35, 1.0, 2.5),
                                 3: (0.25, 1.0, 3.0)})
