@@ -173,8 +173,8 @@ def parse_config(text):
 def _validate_config(cfg):
     if cfg.replicates < 2:
         raise ValueError("key 'replicates' must be >= 2")
-    if cfg.dt <= 0:
-        raise ValueError("key 'dt' must be positive")
+    if not 0 < cfg.dt < math.inf:
+        raise ValueError("key 'dt' must be positive and finite")
     if not 0 <= cfg.mesh_level <= 8:
         raise ValueError("key 'mesh_level' must lie in [0, 8]")
     if cfg.workers < 1:
@@ -192,14 +192,26 @@ def _validate_config(cfg):
     need_horizon = cfg.study in ("berry-profile", "limit-law", "chaos-audit")
     if need_horizon and cfg.horizon is None:
         raise ValueError(f"study {cfg.study!r} requires key 'horizon'")
-    if cfg.horizon is not None and cfg.horizon <= 0:
-        raise ValueError("key 'horizon' must be positive")
+    if cfg.horizon is not None and not 0 < cfg.horizon < math.inf:
+        raise ValueError("key 'horizon' must be positive and finite")
     if cfg.study == "variance-scaling":
         if cfg.t_ladder is None or len(cfg.t_ladder) < 4:
             raise ValueError(
                 "study 'variance-scaling' requires key 't_ladder' with at "
                 "least 4 horizons"
             )
+    if cfg.t_ladder is not None \
+            and not all(0 < t < math.inf for t in cfg.t_ladder):
+        raise ValueError("key 't_ladder' must hold positive finite horizons")
+    if cfg.level is not None and not math.isfinite(cfg.level):
+        raise ValueError("key 'level' must be finite")
+    if cfg.u_grid is not None \
+            and not all(math.isfinite(u) for u in cfg.u_grid):
+        raise ValueError("key 'u_grid' must hold finite levels")
+    if not cfg.spectrum.sigma1_sq > 0:
+        raise ValueError(
+            "key 'ell': the spectrum needs a multipole with ell >= 1 and "
+            "c0 > 0; with sigma1^2 = 0 the field has no level curves")
     if cfg.study == "berry-profile" and cfg.u_grid is None:
         raise ValueError("study 'berry-profile' requires key 'u_grid'")
     if cfg.study in ("limit-law", "chaos-audit") and cfg.level is None:

@@ -11,6 +11,13 @@ Segment lengths are geodesic (great-circle) arcs between the radial
 projections of the crossing points; chordal lengths would carry an O(h^2)
 systematic bias that geodesic lengths avoid.
 
+The slices are marched in cache-sized blocks (Lam, Rothberg & Wolf 1991),
+their crossings get geometry a few thousand at a time, and the geometry
+runs on one contiguous array per coordinate.  A slice's length sums its
+own crossings in triangle order, and the component arithmetic repeats the
+operations of the row-wise numpy calls in their order, so none of this
+changes a bit of any length.
+
 A vertex value exactly equal to u is perturbed upward by 1e-12 (the field
 is unit variance), deterministically, and counted; this keeps extraction
 total and reproducible, and matches the fact that a level is almost surely
@@ -42,6 +49,9 @@ __all__ = [
 ]
 
 _EXACT_HIT_NUDGE = 1e-12  # symbolic perturbation for values exactly at u
+_BLOCK_VALUES = 131_072   # (vertex, slice) values per marching block
+_CHUNK = 4096             # crossings per geometry pass
+_SYNTH_PAIRS = 3_000_000  # (triangle, slice) pairs per synthesized block
 
 
 # ----------------------------------------------------------------------
@@ -76,64 +86,109 @@ _NEXT = (_ODD + 1) % 3
 _AFTER = (_ODD + 2) % 3
 
 
-def _nudged(values, u):
-    """(V, S) float block with the values exactly at u nudged upwards, and
-    the number of nudged values."""
+def _columns(values):
+    """``values`` as a C-contiguous float (V, S) array; a (V,) slice is
+    one column."""
     vals = np.asarray(values, dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    exact = vals == u
+    return np.ascontiguousarray(vals.reshape(vals.shape[0], -1))
+
+
+def _nudged(vals, cols, u):
+    """(values, cols, count): the slices ``cols`` of a C-contiguous (V, N)
+    array, with the values exactly at u nudged upwards in a copy if there
+    are any, and the number of nudged values."""
+    exact = vals[:, cols] == u
     n_pert = int(np.count_nonzero(exact))
     if n_pert:
-        vals = vals.copy()
+        vals = vals[:, cols].copy()
         vals[exact] += _EXACT_HIT_NUDGE
-    return vals, n_pert
+        cols = slice(0, vals.shape[1])
+    return vals, cols, n_pert
 
 
-def _march(vals, mesh, u):
-    """Marching-triangles kernel for a (V, S) block of slices with no value
-    exactly at u.
-
-    Returns (slice, (odd, a, b) vertex indices, (t_a, t_b), (p_a, p_b),
-    arcs) per crossing, triangle-major: the segment runs from p_a at
-    parameter t_a on edge odd->a to p_b on edge odd->b.
-    """
-    n_slices = vals.shape[1]
-    above = (vals > u).view(np.uint8)     # (V, S)
+def _crossings(vals, cols, mesh, u):
+    """Flat (triangle, slice within ``cols``) indices of the crossing pairs
+    of the slices ``cols`` of a (V, N) array with no value exactly at u,
+    triangle-major, and their codes."""
+    above = (vals[:, cols] > u).view(np.uint8)     # (V, S)
     tri = mesh.triangles
     code = above[tri[:, 0]]               # (F, S)
     code |= (above << 1)[tri[:, 1]]
     code |= (above << 2)[tri[:, 2]]
     code = code.ravel()
     k = np.flatnonzero((code != 0) & (code != 7))
-    f, s = np.divmod(k, n_slices)
-    c = code[k]
-    corner = tri.ravel()
-    v_idx = (corner[3 * f + _ODD[c]], corner[3 * f + _NEXT[c]],
-             corner[3 * f + _AFTER[c]])
+    return k, code[k]
+
+
+def _geometry(vals, cols, mesh, u, k, case):
+    """(odd, a, b) vertex indices, (t_a, t_b), (p_a, p_b) and arc of the
+    crossings ``k`` of the slices ``cols`` of a C-contiguous (V, N) array,
+    with codes ``case``: the segment runs from p_a at parameter t_a on edge
+    odd->a to p_b on edge odd->b, and p_a and p_b are (x, y, z) triples of
+    (K,) arrays."""
+    f3, s = np.divmod(k, cols.stop - cols.start)
+    f3 *= 3
+    corner = mesh.triangles.ravel()
+    v_idx = tuple(corner.take(f3 + table.take(case))
+                  for table in (_ODD, _NEXT, _AFTER))
     flat = vals.ravel()
-    d_o, d_a, d_b = (flat[v * n_slices + s] - u for v in v_idx)
-    v_o, v_a, v_b = (mesh.vertices.take(v, axis=0) for v in v_idx)
+    at = s + cols.start
+    d_o, d_a, d_b = (flat.take(v * vals.shape[1] + at) - u for v in v_idx)
     t_a = d_o / (d_o - d_a)
     t_b = d_o / (d_o - d_b)
-    p_a = v_o + t_a[:, None] * (v_a - v_o)
-    p_b = v_o + t_b[:, None] * (v_b - v_o)
-    p_a /= np.linalg.norm(p_a, axis=1, keepdims=True)
-    p_b /= np.linalg.norm(p_b, axis=1, keepdims=True)
-    cross = np.cross(p_a, p_b)
-    arcs = np.arctan2(np.linalg.norm(cross, axis=1),
-                      np.einsum("ij,ij->i", p_a, p_b))
-    return s, v_idx, (t_a, t_b), (p_a, p_b), arcs
+    # coordinate j of vertex v sits at 3 v + j of the contiguous (V, 3)
+    # array; take() on the shifted views reads it without a column copy
+    xyz = mesh.vertices.ravel()
+    o3, a3, b3 = (3 * v for v in v_idx)
+    p_a, p_b = [], []
+    for j in range(3):
+        col = xyz[j:]
+        o = col.take(o3)
+        p_a.append(o + t_a * (col.take(a3) - o))
+        p_b.append(o + t_b * (col.take(b3) - o))
+    # the component forms of np.linalg.norm(axis=1), of the normalizing
+    # division and of np.cross, bit for bit
+    for p in (p_a, p_b):
+        norm = np.sqrt((p[0] * p[0] + p[1] * p[1]) + p[2] * p[2])
+        for x in p:
+            x /= norm
+    (ax, ay, az), (bx, by, bz) = p_a, p_b
+    cx = ay * bz - az * by
+    cy = az * bx - ax * bz
+    cz = ax * by - ay * bx
+    sin = np.sqrt((cx * cx + cy * cy) + cz * cz)
+    # np.einsum("ij,ij->i") sums the dot product as (x + z) + y
+    cos = (ax * bx + az * bz) + ay * by
+    return v_idx, (t_a, t_b), (p_a, p_b), np.arctan2(sin, cos)
 
 
 def isoline_lengths(values, mesh, u):
     """Total u-level curve length for each slice of a (V, S) value block.
 
+    The slices are marched in blocks of about ``_BLOCK_VALUES`` values, and
+    their crossings get geometry ``_CHUNK`` at a time; each slice's length
+    sums its own crossings in triangle order, so neither changes a bit.
     Returns (lengths (S,), perturbed_vertex_count).
     """
-    vals, n_pert = _nudged(values, u)
-    s, _v, _t, _p, arcs = _march(vals, mesh, u)
-    return np.bincount(s, weights=arcs, minlength=vals.shape[1]), n_pert
+    vals = _columns(values)
+    n_slices = vals.shape[1]
+    step = max(1, _BLOCK_VALUES // vals.shape[0])
+    lengths = np.empty(n_slices)
+    n_pert = 0
+    for start in range(0, n_slices, step):
+        cols = slice(start, min(start + step, n_slices))
+        block, block_cols, pert = _nudged(vals, cols, u)
+        k, case = _crossings(block, block_cols, mesh, u)
+        arcs = np.empty(k.size)
+        for c in range(0, k.size, _CHUNK):
+            part = slice(c, c + _CHUNK)
+            *_, arcs[part] = _geometry(block, block_cols, mesh, u, k[part],
+                                       case[part])
+        width = cols.stop - start
+        lengths[cols] = np.bincount(k % width, weights=arcs,
+                                    minlength=width)
+        n_pert += pert
+    return lengths, n_pert
 
 
 def extract_level_curves(field_slice, mesh, u):
@@ -141,11 +196,14 @@ def extract_level_curves(field_slice, mesh, u):
     values = getattr(field_slice, "values", field_slice)
     k = getattr(field_slice, "time_index", 0)
     u = float(u)
-    vals, n_pert = _nudged(values, u)
-    _s, (v_o, v_a, v_b), t, p, arcs = _march(vals, mesh, u)
+    vals = _columns(values)
+    vals, cols, n_pert = _nudged(vals, slice(0, vals.shape[1]), u)
+    (v_o, v_a, v_b), t, (p_a, p_b), arcs = _geometry(
+        vals, cols, mesh, u, *_crossings(vals, cols, mesh, u))
     edges = np.stack([v_o, v_a, v_o, v_b], axis=1).reshape(-1, 2, 2)
     return LevelCurveSet(
-        segments=np.stack(p, axis=1),
+        segments=np.stack([np.stack(p_a, axis=1), np.stack(p_b, axis=1)],
+                          axis=1),
         segment_edges=edges,
         edge_params=np.stack(t, axis=1),
         total_length=float(arcs.sum()),
@@ -194,23 +252,28 @@ class BoundaryFunctionalSample:
     perturbed_vertices: int
 
 
-def boundary_functional(ensemble, mesh, u, block_steps=None):
+def boundary_functional(ensemble, mesh, u):
     """Time integral of the u-level length over the ensemble's grid,
-    centered by horizon * kac_rice_mean(u).  Slices are processed in
-    blocks sized to keep the marching workspace modest."""
+    centered by horizon * kac_rice_mean(u).
+
+    The values are synthesized in blocks of about ``_SYNTH_PAIRS``
+    (triangle, slice) pairs, and ``isoline_lengths`` marches each of
+    them in cache-sized blocks.  The synthesis blocks keep their size
+    because the last bits of a BLAS product depend on the shape of the
+    block: other blocks would change the lengths.
+    """
     basis = mesh if isinstance(mesh, HarmonicBasis) \
         else HarmonicBasis(mesh, ensemble.spectrum.ells)
     grid = ensemble.grid
     n = grid.n_steps
-    if block_steps is None:
-        block_steps = max(1, int(3_000_000 / max(basis.mesh.n_triangles, 1)))
+    step = max(1, _SYNTH_PAIRS // max(basis.mesh.n_triangles, 1))
     lengths = np.empty(n)
     n_pert = 0
-    for start in range(0, n, block_steps):
-        stop = min(start + block_steps, n)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
         vals = synthesize_values(ensemble, basis, slice(start, stop))
-        ls, pert = isoline_lengths(vals, basis.mesh, float(u))
-        lengths[start:stop] = ls
+        lengths[start:stop], pert = isoline_lengths(vals, basis.mesh,
+                                                    float(u))
         n_pert += pert
     raw = float(np.trapezoid(lengths, dx=grid.dt))
     centered = raw - grid.horizon * kac_rice_mean(ensemble.spectrum, u)

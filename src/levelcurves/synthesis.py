@@ -345,19 +345,27 @@ def sample_time_processes(spectrum, grid, seed):
     clipped = 0
     doublings = 0
     row = 0
+    z = None
     for e in spectrum.entries:
         root_lam, m_len, n_clip, n_dbl = _cached_plan(spectrum, grid, e.ell)
         clipped += n_clip
         doublings = max(doublings, n_dbl)
-        g = rng.standard_normal((e.ell + 1, 2, m_len))
-        z = np.empty((e.ell + 1, m_len), dtype=complex)
-        np.multiply(root_lam, g[:, 0], out=z.real)
-        np.multiply(root_lam, g[:, 1], out=z.imag)
-        np.fft.fft(z, axis=1, out=z)
+        if z is None or z.size != m_len:
+            # one (real, imaginary) pair of normals and its transform at a
+            # time, in buffers reused across pairs and multipoles
+            g = np.empty((2, m_len))
+            z = np.empty(m_len, dtype=complex)
+        stop = row + 2 * e.ell + 1
         # rows alternate the real and imaginary paths of the ell + 1 pairs
-        coeffs[row:row + 2 * e.ell + 1:2] = z.real[:, :n]
-        coeffs[row + 1:row + 2 * e.ell + 1:2] = z.imag[:e.ell, :n]
-        row += 2 * e.ell + 1
+        for r in range(row, stop, 2):
+            rng.standard_normal(out=g)
+            np.multiply(root_lam, g[0], out=z.real)
+            np.multiply(root_lam, g[1], out=z.imag)
+            np.fft.fft(z, out=z)
+            coeffs[r] = z.real[:n]
+            if r + 1 < stop:
+                coeffs[r + 1] = z.imag[:n]
+        row = stop
     coeffs.flags.writeable = False
     return CoefficientEnsemble(
         spectrum=spectrum,

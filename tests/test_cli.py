@@ -125,6 +125,67 @@ def test_limit_law_sizes_are_validated_at_parse_time(key, bad, good):
     assert getattr(cfg, key) == good
 
 
+SCALING_HEAD = "study = variance-scaling\nlevel = 0.0\nfunctional = length\n"
+
+
+@pytest.mark.parametrize("rung", ["0", "-25", "nan", "inf"])
+def test_t_ladder_rungs_must_be_positive_and_finite(rung):
+    # a rung of 0 used to run the whole ladder, then die in log10
+    with pytest.raises(ValueError, match="key 't_ladder'"):
+        parse_config(SCALING_HEAD + f"t_ladder = 25, 50, {rung}, 100\n"
+                     + SPEC_BLOCK)
+    parse_config(SCALING_HEAD + "t_ladder = 25, 50, 75, 100\n" + SPEC_BLOCK)
+
+
+@pytest.mark.parametrize("level", ["nan", "inf", "-inf"])
+def test_level_must_be_finite(level):
+    # level = nan used to run and write NaN tables
+    with pytest.raises(ValueError, match="key 'level' must be finite"):
+        parse_config(f"study = mean-length\nlevel = {level}\n" + SPEC_BLOCK)
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_u_grid_levels_must_be_finite(bad):
+    # an infinite level used to write a NaN z row
+    with pytest.raises(ValueError, match="key 'u_grid'"):
+        parse_config(f"study = mean-length\nu_grid = 0.0, {bad}\n"
+                     + SPEC_BLOCK)
+
+
+@pytest.mark.parametrize("dt", ["nan", "inf", "0", "-1"])
+def test_dt_must_be_positive_and_finite(dt):
+    # dt = nan used to die inside TimeGrid.for_horizon
+    with pytest.raises(ValueError,
+                       match="key 'dt' must be positive and finite"):
+        parse_config("study = limit-law\nlevel = 0.0\nhorizon = 50\n"
+                     f"dt = {dt}\n" + LONG_SPEC_BLOCK)
+
+
+@pytest.mark.parametrize("horizon", ["nan", "inf", "0"])
+def test_horizon_must_be_positive_and_finite(horizon):
+    with pytest.raises(ValueError,
+                       match="key 'horizon' must be positive and finite"):
+        parse_config(f"study = limit-law\nlevel = 0.0\nhorizon = {horizon}\n"
+                     + LONG_SPEC_BLOCK)
+
+
+def test_monopole_only_spectrum_is_rejected_before_sampling(tmp_path, capsys):
+    # sigma1^2 = 0: the second-chaos weight used to divide by zero after
+    # every replicate had been sampled
+    text = ("study = berry-profile\nreplicates = 4\nhorizon = 10\n"
+            "u_grid = 0.0, 0.5\n[multipole]\nell = 0\nc0 = 1.0\n"
+            "beta = 0.5\n")
+    with pytest.raises(ValueError, match="key 'ell'.*ell >= 1"):
+        parse_config(text)
+    cfg_path = tmp_path / "mono.cfg"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["berry-profile", "--config", str(cfg_path),
+                 "--out", str(out)]) == 1
+    assert "key 'ell'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------
 # Studies through run_study
 # ----------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from conftest import kac_rice_mean_check, spec_from_fractions
+from levelcurves import geometry
 from levelcurves.geometry import (
     _EXACT_HIT_NUDGE,
     boundary_functional,
@@ -23,6 +25,7 @@ from levelcurves.synthesis import (
     build_icosphere,
     sample_time_processes,
     synthesize_slice,
+    synthesize_values,
 )
 
 SPEC = None
@@ -415,6 +418,30 @@ def test_boundary_functional_mean_is_centered(mesh3):
     # replication in the Kac-Rice acceptance test (level-6 mesh)
     bias_allowance = 0.01 * grid.horizon * kac_rice_mean(SPEC, 0.5)
     assert abs(vals.mean()) < 4 * se + bias_allowance
+
+
+@functools.cache
+def _basis(level):
+    return HarmonicBasis(_mesh(level), SPEC.ells)
+
+
+@given(st.integers(0, 4), st.integers(2, 40), st.sampled_from([1, 2, 3]),
+       st.floats(-2.5, 2.5), st.booleans(), st.integers(0, 2**32 - 1))
+def test_marching_blocks_change_no_bit(level, n_steps, per_block, u, hit,
+                                       seed):
+    assume(per_block == 1 or n_steps % per_block)  # a ragged last block
+    basis = _basis(level)
+    ens = sample_time_processes(SPEC, TimeGrid(0.5, n_steps), seed)
+    vals = synthesize_values(ens, basis)
+    if hit:  # a value exactly on the level, nudged inside one block
+        u = float(vals.flat[seed % vals.size])
+    # up to 40 slices of a mesh-4 field fit in one block of the kernel
+    whole, n_pert = isoline_lengths(vals, basis.mesh, u)
+    values_per_block = per_block * basis.mesh.n_vertices
+    with mock.patch.object(geometry, "_BLOCK_VALUES", values_per_block):
+        sample = boundary_functional(ens, basis, u)
+    assert np.array_equal(sample.per_step_lengths, whole)
+    assert sample.perturbed_vertices == n_pert
 
 
 def test_write_lengths_csv(tmp_path, mesh3):
