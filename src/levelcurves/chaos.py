@@ -40,9 +40,9 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import mcstats
+from .geometry import boundary_functional
 from .special import gaussian_density, hermite_rows
 from .spectrum import (
-    BOUNDARY,
     LONG_MEMORY,
     SHORT_MEMORY,
     classify_regime,
@@ -50,7 +50,7 @@ from .spectrum import (
     integrated_sq_cov,
     sigma1_sq,
 )
-from .synthesis import HarmonicBasis, TimeGrid, sample_time_processes
+from .synthesis import TimeGrid, measure_replicate
 
 __all__ = [
     "norm_expansion_poly",
@@ -62,7 +62,6 @@ __all__ = [
     "sample_power_spectrum",
     "first_chaos_projection",
     "second_chaos_sample_spectrum",
-    "chaos_projection_quadrature",
     "chaos_projections_quadrature",
     "second_chaos_weight",
     "second_chaos_variance_exact",
@@ -261,9 +260,10 @@ def _recurrence_rows(h, x, tmp, coeffs):
             h[:, i + 1] -= np.multiply(h[:, i - 1], c, out=tmp)
 
 
-def chaos_projections_quadrature(ensemble, mesh, u, orders):
+def chaos_projections_quadrature(ensemble, basis, u, orders):
     """Sphere-time quadrature of the triple-Hermite integrands for several
-    chaos orders in one sweep over time slices.
+    chaos orders in one sweep over time slices, on the mesh of ``basis``
+    (a ``HarmonicBasis``).
 
     Gradients are normalized by sigma1 before entering the Hermite
     products.  Returns {q: value}.  The slices go in blocks of about
@@ -275,8 +275,6 @@ def chaos_projections_quadrature(ensemble, mesh, u, orders):
     from one batched matmul.  A slice's order-q value is a weighted sum of
     its moments.
     """
-    basis = mesh if isinstance(mesh, HarmonicBasis) \
-        else HarmonicBasis(mesh, ensemble.spectrum.ells)
     orders = sorted(set(int(q) for q in orders))
     if not orders or orders[0] < 1:
         raise ValueError("chaos orders must be >= 1")
@@ -323,11 +321,6 @@ def chaos_projections_quadrature(ensemble, mesh, u, orders):
     per_step = np.tensordot(coef, moments, axes=((1, 2), (1, 2)))
     values = np.trapezoid(per_step, dx=ensemble.grid.dt, axis=1)
     return {q: float(v) for q, v in zip(orders, values)}
-
-
-def chaos_projection_quadrature(ensemble, mesh, u, q):
-    """Single-order quadrature projection (see the batched variant)."""
-    return chaos_projections_quadrature(ensemble, mesh, u, [q])[int(q)]
 
 
 # ----------------------------------------------------------------------
@@ -408,30 +401,25 @@ class TailEstimate:
     exponent_se: float
 
 
-def _tail_one_replicate(spectrum, basis, u, grid, seed):
-    from .geometry import boundary_functional  # local import breaks a cycle
-
-    ens = sample_time_processes(spectrum, grid, np.random.Generator(
-        np.random.PCG64(seed)))
-    c_t = boundary_functional(ens, basis, u).centered
-    p1 = first_chaos_projection(ens, u)
-    p2 = second_chaos_sample_spectrum(ens, u)
+def _length_and_tail(basis, u, ensemble):
+    c_t = boundary_functional(ensemble, basis, u).centered
+    p1 = first_chaos_projection(ensemble, u)
+    p2 = second_chaos_sample_spectrum(ensemble, u)
     return c_t, c_t - p1 - p2
 
 
-def higher_chaos_tail_estimate(spectrum, mesh, u, horizons, replicates, seed,
+def higher_chaos_tail_estimate(spectrum, basis, u, horizons, replicates, seed,
                                dt=1.0, workers=1):
-    """Monte Carlo tail study: full pipeline minus the two leading
-    closed-form projections, over a ladder of horizons."""
-    basis = mesh if isinstance(mesh, HarmonicBasis) \
-        else HarmonicBasis(mesh, spectrum.ells)
+    """Monte Carlo tail study on the mesh of ``basis``: full pipeline minus
+    the two leading closed-form projections, over a ladder of horizons."""
     horizons = sorted(float(t) for t in horizons)
     master = np.random.SeedSequence(int(seed))
     ladder_seeds = master.spawn(len(horizons))
     tail_vars, tail_ses, shares = [], [], []
     for t_idx, horizon in enumerate(horizons):
         grid = TimeGrid.for_horizon(horizon, dt)
-        one = partial(_tail_one_replicate, spectrum, basis, u, grid)
+        one = partial(measure_replicate, spectrum, grid,
+                      partial(_length_and_tail, basis, u))
         rows = mcstats.replicate_map(one, ladder_seeds[t_idx], replicates,
                                      workers=workers)
         totals = np.array([r[0] for r in rows])

@@ -33,16 +33,13 @@ from .chaos import (
 )
 from .geometry import isoline_lengths, kac_rice_mean
 from .limits import berry_profile, fit_variance_scaling, limit_law_report
-from .spectrum import classify_regime, spectrum_from_text, spectrum_to_text
+from .spectrum import MultipoleEntry, classify_regime, make_spectrum, \
+    spectrum_to_text
 from .synthesis import HarmonicBasis, TimeGrid, build_icosphere, \
-    sample_time_processes
+    measure_replicate
 
 __all__ = ["RunConfig", "StudyResult", "parse_config", "render_config",
            "run_study", "emit_plot_data", "main"]
-
-STUDIES = ("mean-length", "variance-scaling", "berry-profile", "limit-law",
-           "chaos-audit")
-
 
 # ----------------------------------------------------------------------
 # Config
@@ -90,6 +87,7 @@ _SCALAR_KEYS = {
     "normalize": bool,
 }
 _LIST_KEYS = {"t_ladder", "u_grid"}
+_MULTIPOLE_KEYS = {"ell": int, "c0": float, "beta": float, "alpha": float}
 
 
 def _parse_bool(value, key, lineno):
@@ -101,68 +99,92 @@ def _parse_bool(value, key, lineno):
     raise ValueError(f"line {lineno}: key {key!r} expects true/false, got {value!r}")
 
 
+def _parse_value(key, value, lineno):
+    if key in _LIST_KEYS:
+        try:
+            return tuple(float(v) for v in value.split(",") if v.strip())
+        except ValueError:
+            raise ValueError(
+                f"line {lineno}: key {key!r} expects a comma list of "
+                f"numbers, got {value!r}"
+            ) from None
+    typ = _SCALAR_KEYS.get(key)
+    if typ is None:
+        raise ValueError(f"line {lineno}: unknown key {key!r}")
+    if typ is bool:
+        return _parse_bool(value, key, lineno)
+    try:
+        return typ(value)
+    except ValueError:
+        raise ValueError(
+            f"line {lineno}: key {key!r} expects {typ.__name__}, got {value!r}"
+        ) from None
+
+
+def _multipole_entry(start, block):
+    missing = {"ell", "c0", "beta"} - set(block)
+    if missing:
+        raise ValueError(
+            f"[multipole] block at line {start} is missing {sorted(missing)}")
+    return MultipoleEntry(**block)
+
+
 def parse_config(text):
-    """Parse and validate a study config; errors name key and line."""
+    """Parse and validate a study config in one pass; errors name key and
+    line.
+
+    Top-level ``key = value`` lines may come before, between or after the
+    ``[multipole]`` blocks.  A block holds the keys ell, c0, beta and (when
+    beta = 1) alpha, one spectrum entry; any other key ends it.  ``#``
+    starts a comment.
+    """
     top = {}
-    spectrum_lines = []
-    in_multipole = False
+    entries = []
+    block = None            # (first line, keys) of the open [multipole]
+    first_block = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.lower() == "[multipole]":
-            in_multipole = True
-            spectrum_lines.append((lineno, raw))
+            if block is not None:
+                entries.append(_multipole_entry(*block))
+            block = (lineno, {})
+            first_block = first_block or lineno
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key = line.partition("=")[0].strip().lower()
-        if in_multipole and key in ("ell", "c0", "beta", "alpha"):
-            spectrum_lines.append((lineno, raw))
-            continue
-        in_multipole = False
-        value = line.partition("=")[2].strip()
-        if key in _SCALAR_KEYS:
-            typ = _SCALAR_KEYS[key]
+        key, _, value = line.partition("=")
+        key, value = key.strip().lower(), value.strip()
+        if block is not None and key in _MULTIPOLE_KEYS:
+            typ = _MULTIPOLE_KEYS[key]
             try:
-                if typ is bool:
-                    top[key] = _parse_bool(value, key, lineno)
-                else:
-                    top[key] = typ(value)
-            except ValueError as exc:
-                if typ is bool:
-                    raise
-                raise ValueError(
-                    f"line {lineno}: key {key!r} expects {typ.__name__}, "
-                    f"got {value!r}"
-                ) from None
-        elif key in _LIST_KEYS:
-            try:
-                top[key] = tuple(float(v) for v in value.split(",") if v.strip())
+                block[1][key] = typ(value)
             except ValueError:
-                raise ValueError(
-                    f"line {lineno}: key {key!r} expects a comma list of "
-                    f"numbers, got {value!r}"
-                ) from None
-        else:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
+                what = "an integer" if typ is int else "numeric"
+                raise ValueError(f"line {lineno}: value for {key!r} is not "
+                                 f"{what}: {value!r}") from None
+            continue
+        top[key] = _parse_value(key, value, lineno)
+        if block is not None:       # a top-level key ends the block
+            entries.append(_multipole_entry(*block))
+            block = None
+    if block is not None:
+        entries.append(_multipole_entry(*block))
 
     if "study" not in top:
         raise ValueError("config is missing the 'study' key")
     if top["study"] not in STUDIES:
         raise ValueError(
-            f"unknown study {top['study']!r}; expected one of {STUDIES}"
+            f"unknown study {top['study']!r}; expected one of {tuple(STUDIES)}"
         )
-    if not spectrum_lines:
+    if not entries:
         raise ValueError("config has no [multipole] blocks")
-    spec_text = "\n".join(raw for _, raw in spectrum_lines)
-    normalize = top.pop("normalize", True)
-    first_line = spectrum_lines[0][0]
     try:
-        spectrum = spectrum_from_text(spec_text, normalize=normalize)
+        spectrum = make_spectrum(entries, normalize=top.pop("normalize", True))
     except ValueError as exc:
         raise ValueError(
-            f"spectrum (starting line {first_line}): {exc}"
+            f"spectrum (starting line {first_block}): {exc}"
         ) from None
 
     cfg = RunConfig(spectrum=spectrum, **top)
@@ -205,6 +227,8 @@ def _validate_config(cfg):
         raise ValueError("key 't_ladder' must hold positive finite horizons")
     if cfg.level is not None and not math.isfinite(cfg.level):
         raise ValueError("key 'level' must be finite")
+    if cfg.u_grid is not None and not cfg.u_grid:
+        raise ValueError("key 'u_grid' must hold at least one level")
     if cfg.u_grid is not None \
             and not all(math.isfinite(u) for u in cfg.u_grid):
         raise ValueError("key 'u_grid' must hold finite levels")
@@ -269,8 +293,9 @@ class StudyResult:
         return all(self.checks.values())
 
 
-def _csv(header_cols, rows, config_hash):
+def _csv(header_cols, rows, config_hash, notes=()):
     out = [f"# levelcurves {__version__} config sha256:{config_hash}"]
+    out += [f"# {note}" for note in notes]
     out.append(",".join(header_cols))
     for row in rows:
         out.append(",".join(_fmt(v) for v in row))
@@ -283,11 +308,8 @@ def _config_hash(cfg):
 
 # ---- study implementations -------------------------------------------
 
-def _mean_length_replicate(spectrum, basis, levels, seed):
-    grid = TimeGrid(dt=1.0, n_steps=2)
-    ens = sample_time_processes(spectrum, grid, np.random.Generator(
-        np.random.PCG64(seed)))
-    vals = basis.y @ ens.coeffs[:, 0]
+def _level_lengths(basis, levels, ensemble):
+    vals = basis.y @ ensemble.coeffs[:, 0]
     return [isoline_lengths(vals, basis.mesh, u)[0][0] for u in levels]
 
 
@@ -295,7 +317,9 @@ def _study_mean_length(cfg, config_hash):
     levels = cfg.u_grid if cfg.u_grid is not None else (cfg.level,)
     basis = HarmonicBasis(build_icosphere(cfg.mesh_level),
                           cfg.spectrum.ells)
-    kernel = partial(_mean_length_replicate, cfg.spectrum, basis, levels)
+    kernel = partial(measure_replicate, cfg.spectrum,
+                     TimeGrid(dt=1.0, n_steps=2),
+                     partial(_level_lengths, basis, levels))
     rows = np.array(mcstats.replicate_map(kernel, cfg.seed, cfg.replicates,
                                           workers=cfg.workers))
     tables = {}
@@ -354,7 +378,11 @@ def _study_variance_scaling(cfg, config_hash):
     tables["scaling_fit.csv"] = _csv(
         ("fitted_exponent", "exponent_se", "expected_exponent"),
         summary_rows, config_hash)
-    return tables, checks, fit
+    tables["fig_scaling.csv"] = _csv(
+        ("log10_horizon", "log10_variance"), [r[3:] for r in rows],
+        config_hash, notes=(f"fitted_slope = {_fmt(fit.fitted_exponent)}",
+                            f"slope_se = {_fmt(fit.exponent_se)}"))
+    return tables, checks
 
 
 def _study_berry_profile(cfg, config_hash):
@@ -377,7 +405,12 @@ def _study_berry_profile(cfg, config_hash):
         ) if len(prof.levels) > 1 else 0.0
         checks["min_within_one_step_of_cancellation"] = bool(
             abs(prof.min_level - prof.predicted_cancellation) <= step + 1e-12)
-    return tables, checks, prof
+    marker = prof.predicted_cancellation
+    marker = _fmt(marker) if marker is not None else "none"
+    tables["fig_berry.csv"] = _csv(
+        ("u", "variance", "long_constant"), [(u, v, p) for u, v, _, p in rows],
+        config_hash, notes=(f"predicted_cancellation = {marker}",))
+    return tables, checks
 
 
 def _study_limit_law(cfg, config_hash):
@@ -407,16 +440,14 @@ def _study_limit_law(cfg, config_hash):
     checks = {"ks_limit_law": bool(report.passed)}
     if report.gaussian_rejected is not None:
         checks["gaussian_power_check"] = bool(report.gaussian_rejected)
-    return tables, checks, report
+    return tables, checks
 
 
-def _chaos_audit_replicate(spectrum, basis, u, grid, orders, seed):
-    ens = sample_time_processes(spectrum, grid, np.random.Generator(
-        np.random.PCG64(seed)))
-    quad = chaos_projections_quadrature(ens, basis, u, orders)
+def _audit_projections(basis, u, orders, ensemble):
+    quad = chaos_projections_quadrature(ensemble, basis, u, orders)
     out = [("quadrature", q, quad[q]) for q in orders]
-    out.append(("spectral", 1, first_chaos_projection(ens, u)))
-    out.append(("spectral", 2, second_chaos_sample_spectrum(ens, u)))
+    out.append(("spectral", 1, first_chaos_projection(ensemble, u)))
+    out.append(("spectral", 2, second_chaos_sample_spectrum(ensemble, u)))
     return out
 
 
@@ -424,8 +455,8 @@ def _study_chaos_audit(cfg, config_hash):
     orders = list(range(1, cfg.q_max + 1))
     basis = HarmonicBasis(build_icosphere(cfg.mesh_level), cfg.spectrum.ells)
     grid = TimeGrid.for_horizon(cfg.horizon, cfg.dt)
-    kernel = partial(_chaos_audit_replicate, cfg.spectrum, basis, cfg.level,
-                     grid, orders)
+    kernel = partial(measure_replicate, cfg.spectrum, grid,
+                     partial(_audit_projections, basis, cfg.level, orders))
     rows = mcstats.replicate_map(kernel, cfg.seed, cfg.replicates,
                                  workers=cfg.workers)
     flat = [(rep, method, q, val)
@@ -450,27 +481,22 @@ def _study_chaos_audit(cfg, config_hash):
     return tables, checks
 
 
+# study name -> function of (config, config hash) giving (tables, checks)
+STUDIES = {
+    "mean-length": _study_mean_length,
+    "variance-scaling": _study_variance_scaling,
+    "berry-profile": _study_berry_profile,
+    "limit-law": _study_limit_law,
+    "chaos-audit": _study_chaos_audit,
+}
+
+
 def run_study(config, out_dir=None, workers=None):
     """Execute a study; optionally write tables + manifest to ``out_dir``."""
     cfg = config if workers is None else replace(config, workers=workers)
     config_hash = _config_hash(replace(cfg, workers=1))
     t0 = time.perf_counter()
-    extra_tables = {}
-    if cfg.study == "mean-length":
-        tables, checks = _study_mean_length(cfg, config_hash)
-    elif cfg.study == "variance-scaling":
-        tables, checks, fit = _study_variance_scaling(cfg, config_hash)
-        extra_tables = _plot_scaling(fit, config_hash)
-    elif cfg.study == "berry-profile":
-        tables, checks, prof = _study_berry_profile(cfg, config_hash)
-        extra_tables = _plot_berry(prof, config_hash)
-    elif cfg.study == "limit-law":
-        tables, checks, _report = _study_limit_law(cfg, config_hash)
-    elif cfg.study == "chaos-audit":
-        tables, checks = _study_chaos_audit(cfg, config_hash)
-    else:
-        raise ValueError(f"unknown study {cfg.study!r}")
-    tables.update(extra_tables)
+    tables, checks = STUDIES[cfg.study](cfg, config_hash)
     wall = time.perf_counter() - t0
 
     result = StudyResult(study=cfg.study, config=cfg, tables=tables,
@@ -482,29 +508,6 @@ def run_study(config, out_dir=None, workers=None):
 
 
 # ---- plot-data emission ----------------------------------------------
-
-def _plot_scaling(fit, config_hash):
-    rows = [(math.log10(t), math.log10(v))
-            for t, v in zip(fit.horizons, fit.variances)]
-    text = [f"# levelcurves {__version__} config sha256:{config_hash}",
-            f"# fitted_slope = {_fmt(fit.fitted_exponent)}",
-            f"# slope_se = {_fmt(fit.exponent_se)}",
-            "log10_horizon,log10_variance"]
-    text += [",".join(_fmt(v) for v in r) for r in rows]
-    return {"fig_scaling.csv": "\n".join(text) + "\n"}
-
-
-def _plot_berry(prof, config_hash):
-    marker = prof.predicted_cancellation
-    text = [f"# levelcurves {__version__} config sha256:{config_hash}",
-            f"# predicted_cancellation = "
-            f"{_fmt(marker) if marker is not None else 'none'}",
-            "u,variance,long_constant"]
-    for u, v, p in zip(prof.levels, prof.variances, prof.predicted_constants):
-        text.append(",".join(_fmt(x) for x in
-                             (u, v, p if p is not None else float("nan"))))
-    return {"fig_berry.csv": "\n".join(text) + "\n"}
-
 
 def emit_plot_data(result, out_dir):
     """Write the figure-ready tables of a completed study to ``out_dir``."""

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectrum import sigma1_sq
-from .synthesis import HarmonicBasis, synthesize_values
+from .synthesis import synthesize_values
 
 __all__ = [
     "LevelCurveSet",
@@ -252,9 +252,10 @@ class BoundaryFunctionalSample:
     perturbed_vertices: int
 
 
-def boundary_functional(ensemble, mesh, u):
-    """Time integral of the u-level length over the ensemble's grid,
-    centered by horizon * kac_rice_mean(u).
+def boundary_functional(ensemble, basis, u):
+    """Time integral of the u-level length on the mesh of ``basis`` (a
+    ``HarmonicBasis``) over the ensemble's grid, centered by horizon *
+    kac_rice_mean(u).
 
     The values are synthesized in blocks of about ``_SYNTH_PAIRS``
     (triangle, slice) pairs, and ``isoline_lengths`` marches each of
@@ -262,8 +263,6 @@ def boundary_functional(ensemble, mesh, u):
     because the last bits of a BLAS product depend on the shape of the
     block: other blocks would change the lengths.
     """
-    basis = mesh if isinstance(mesh, HarmonicBasis) \
-        else HarmonicBasis(mesh, ensemble.spectrum.ells)
     grid = ensemble.grid
     n = grid.n_steps
     step = max(1, _SYNTH_PAIRS // max(basis.mesh.n_triangles, 1))

@@ -38,13 +38,14 @@ import numpy as np
 from . import mcstats
 from .chaos import (
     first_chaos_projection,
+    sample_power_spectrum,
     second_chaos_sample_spectrum,
     second_chaos_weight,
 )
 from .geometry import boundary_functional
 from .spectrum import BOUNDARY, LONG_MEMORY, SHORT_MEMORY, classify_regime
 from .synthesis import HarmonicBasis, TimeGrid, build_icosphere, \
-    sample_time_processes
+    measure_replicate
 
 __all__ = [
     "RosenblattSampler",
@@ -208,35 +209,22 @@ def composite_reference_samples(spectrum, u, count, seed, n_inner=2**16,
 
 
 # ----------------------------------------------------------------------
-# Pipeline replicate kernels (top level so they pickle for workers)
+# Replicate measures (top level so they pickle for workers)
 # ----------------------------------------------------------------------
 
-def _chaos2_replicate(spectrum, grid, u, seed):
-    ens = sample_time_processes(spectrum, grid, np.random.Generator(
-        np.random.PCG64(seed)))
-    return second_chaos_sample_spectrum(ens, u)
+def _centered_length(basis, u, ensemble):
+    return boundary_functional(ensemble, basis, u).centered
 
 
-def _chaos1_replicate(spectrum, grid, u, seed):
-    ens = sample_time_processes(spectrum, grid, np.random.Generator(
-        np.random.PCG64(seed)))
-    return first_chaos_projection(ens, u)
-
-
-def _length_replicate(spectrum, basis, grid, u, seed):
-    ens = sample_time_processes(spectrum, grid, np.random.Generator(
-        np.random.PCG64(seed)))
-    return boundary_functional(ens, basis, u).centered
-
-
-def _functional_kernel(spectrum, u, grid, functional, mesh_level):
+def _functional_measure(spectrum, u, functional, mesh_level):
+    """The per-ensemble measure of a named functional."""
     if functional == "chaos2":
-        return partial(_chaos2_replicate, spectrum, grid, u)
+        return partial(second_chaos_sample_spectrum, u=u)
     if functional == "chaos1":
-        return partial(_chaos1_replicate, spectrum, grid, u)
+        return partial(first_chaos_projection, u=u)
     if functional == "length":
         basis = HarmonicBasis(build_icosphere(mesh_level), spectrum.ells)
-        return partial(_length_replicate, spectrum, basis, grid, u)
+        return partial(_centered_length, basis, u)
     raise ValueError(f"unknown functional {functional!r}")
 
 
@@ -273,10 +261,11 @@ def fit_variance_scaling(spectrum, u, horizons, replicates, seed,
         raise ValueError("horizon ladder must be strictly increasing")
     master = np.random.SeedSequence(int(seed))
     ladder_seeds = master.spawn(len(horizons))
+    measure = _functional_measure(spectrum, u, functional, mesh_level)
     variances, ses = [], []
     for t_idx, horizon in enumerate(horizons):
         grid = TimeGrid.for_horizon(horizon, dt)
-        kernel = _functional_kernel(spectrum, u, grid, functional, mesh_level)
+        kernel = partial(measure_replicate, spectrum, grid, measure)
         vals = np.array(mcstats.replicate_map(kernel, ladder_seeds[t_idx],
                                               replicates, workers=workers))
         var, se = mcstats.variance_with_bootstrap_se(vals, n_boot=n_boot,
@@ -361,7 +350,8 @@ def limit_law_report(spectrum, u, horizon, replicates, seed,
     if report.regime == LONG_MEMORY and reference_size < 1:
         raise ValueError("the Rosenblatt reference needs reference_size >= 1")
     grid = TimeGrid.for_horizon(horizon, dt)
-    kernel = _functional_kernel(spectrum, u, grid, "length", mesh_level)
+    kernel = partial(measure_replicate, spectrum, grid,
+                     _functional_measure(spectrum, u, "length", mesh_level))
     master = np.random.SeedSequence(int(seed))
     pipe_seed, ref_seed = master.spawn(2)
     vals = np.array(mcstats.replicate_map(kernel, pipe_seed, replicates,
@@ -413,13 +403,9 @@ class BerryProfile:
     predicted_cancellation: float | None
 
 
-def _berry_replicate(spectrum, grid, seed):
-    from .chaos import sample_power_spectrum
-
-    ens = sample_time_processes(spectrum, grid, np.random.Generator(
-        np.random.PCG64(seed)))
-    return [sample_power_spectrum(ens, e.ell).centered_integral
-            for e in spectrum.entries]
+def _centered_spectrum_integrals(ensemble):
+    return [sample_power_spectrum(ensemble, e.ell).centered_integral
+            for e in ensemble.spectrum.entries]
 
 
 def berry_profile(spectrum, u_grid, horizon, replicates, seed, dt=0.25,
@@ -436,7 +422,8 @@ def berry_profile(spectrum, u_grid, horizon, replicates, seed, dt=0.25,
 
     u_grid = [float(u) for u in u_grid]
     grid = TimeGrid.for_horizon(horizon, dt)
-    kernel = partial(_berry_replicate, spectrum, grid)
+    kernel = partial(measure_replicate, spectrum, grid,
+                     _centered_spectrum_integrals)
     rows = np.array(mcstats.replicate_map(kernel, seed, replicates,
                                           workers=workers))
     s1 = math.sqrt(sigma1_sq(spectrum))

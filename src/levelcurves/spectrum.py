@@ -50,7 +50,6 @@ __all__ = [
     "double_time_integral_csq",
     "CsqIntegral",
     "integrated_sq_cov",
-    "spectrum_from_text",
     "spectrum_to_text",
 ]
 
@@ -461,70 +460,8 @@ def integrated_sq_cov(spectrum, ell):
 
 
 # ----------------------------------------------------------------------
-# Text ingestion (one [multipole] block per entry)
+# Text form (one [multipole] block per entry; parsed by cli.parse_config)
 # ----------------------------------------------------------------------
-
-def spectrum_from_text(text, normalize=True, require_monopole=True):
-    """Parse the line-oriented spectrum description.
-
-    Grammar: repeated ``[multipole]`` blocks, each holding ``key = value``
-    lines with keys ell, c0, beta and (when beta = 1) alpha.  ``#`` starts
-    a comment.  Errors name the offending key and line number.
-    """
-    entries = []
-    current = None
-    current_line = 0
-
-    def flush():
-        if current is None:
-            return
-        missing = {"ell", "c0", "beta"} - set(current)
-        if missing:
-            raise ValueError(
-                f"[multipole] block at line {current_line} is missing "
-                f"{sorted(missing)}"
-            )
-        entries.append(
-            MultipoleEntry(
-                ell=int(current["ell"]),
-                c0=float(current["c0"]),
-                beta=float(current["beta"]),
-                alpha=float(current["alpha"]) if "alpha" in current else None,
-            )
-        )
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.lower() == "[multipole]":
-            flush()
-            current = {}
-            current_line = lineno
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
-        if current is None:
-            raise ValueError(
-                f"line {lineno}: key {key!r} appears outside a [multipole] block"
-            )
-        if key not in ("ell", "c0", "beta", "alpha"):
-            raise ValueError(f"line {lineno}: unknown multipole key {key!r}")
-        try:
-            float(value)
-        except ValueError:
-            raise ValueError(
-                f"line {lineno}: value for {key!r} is not numeric: {value!r}"
-            ) from None
-        current[key] = value
-    flush()
-    if not entries:
-        raise ValueError("no [multipole] blocks found")
-    return make_spectrum(entries, normalize=normalize, require_monopole=require_monopole)
-
 
 def spectrum_to_text(spectrum):
     """Render a spectrum back to the block format (already normalized)."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,6 +37,7 @@ __all__ = [
     "HarmonicBasis",
     "CoefficientEnsemble",
     "sample_time_processes",
+    "measure_replicate",
     "FieldSlice",
     "synthesize_slice",
     "synthesize_multipole_slice",
@@ -327,16 +328,13 @@ def sample_time_processes(spectrum, grid, seed):
     Paths for distinct (ell, m) are independent; each has autocovariance
     C_ell at the grid lags, exactly in distribution (nonnegative
     embedding), with eigenvalues within -1e-8 of zero clipped and counted.
-    The same (spectrum, grid, seed) always yields bit-identical output.
+    The same (spectrum, grid, seed) always yields bit-identical output;
+    ``seed`` is an int or a ``SeedSequence`` and seeds one PCG64 stream.
     """
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-        entropy = -1
-    else:
-        ss = seed if isinstance(seed, np.random.SeedSequence) \
-            else np.random.SeedSequence(int(seed))
-        rng = np.random.Generator(np.random.PCG64(ss))
-        entropy = ss.entropy if isinstance(ss.entropy, int) else -1
+    ss = seed if isinstance(seed, np.random.SeedSequence) \
+        else np.random.SeedSequence(int(seed))
+    rng = np.random.Generator(np.random.PCG64(ss))
+    entropy = ss.entropy if isinstance(ss.entropy, int) else -1
 
     labels = tuple((e.ell, m) for e in spectrum.entries
                    for m in range(-e.ell, e.ell + 1))
@@ -378,6 +376,13 @@ def sample_time_processes(spectrum, grid, seed):
     )
 
 
+def measure_replicate(spectrum, grid, measure, seed):
+    """``measure`` of one realization drawn from ``seed``: the replicate
+    kernel every study fans out through ``mcstats.replicate_map``, as
+    ``partial(measure_replicate, spectrum, grid, measure)``."""
+    return measure(sample_time_processes(spectrum, grid, seed))
+
+
 # ----------------------------------------------------------------------
 # Slice synthesis
 # ----------------------------------------------------------------------
@@ -393,17 +398,10 @@ class FieldSlice:
     time_index: int
 
 
-def _as_basis(ensemble, mesh_or_basis):
-    if isinstance(mesh_or_basis, HarmonicBasis):
-        return mesh_or_basis
-    return HarmonicBasis(mesh_or_basis, ensemble.spectrum.ells)
-
-
-def synthesize_slice(ensemble, mesh, k, with_gradient=True):
-    """Z(., t_k) on the mesh, with gradients unless disabled."""
+def synthesize_slice(ensemble, basis, k, with_gradient=True):
+    """Z(., t_k) on the basis' mesh, with gradients unless disabled."""
     if not 0 <= k < ensemble.grid.n_steps:
         raise IndexError(f"time index {k} outside grid")
-    basis = _as_basis(ensemble, mesh)
     a = ensemble.coeffs[:, k]
     values = basis.y @ a
     if not with_gradient:
@@ -412,11 +410,10 @@ def synthesize_slice(ensemble, mesh, k, with_gradient=True):
     return FieldSlice(values, d1 @ a, d2 @ a, k)
 
 
-def synthesize_multipole_slice(ensemble, mesh, ell, k, normalized=False,
+def synthesize_multipole_slice(ensemble, basis, ell, k, normalized=False,
                                with_gradient=True):
     """Single-degree component Z_ell(., t_k); ``normalized=True`` rescales
     to the unit-variance version Z_ell / sqrt((2 ell + 1) C_ell(0) / 4 pi)."""
-    basis = _as_basis(ensemble, mesh)
     entry = ensemble.spectrum.entry(int(ell))
     if entry is None:
         raise ValueError(f"ell={ell} not present in the spectrum")

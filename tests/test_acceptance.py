@@ -14,7 +14,7 @@ from scipy import stats
 from conftest import kac_rice_mean_check, second_chaos_hermite_form, \
     spec_from_fractions
 from levelcurves.chaos import (
-    chaos_projection_quadrature,
+    chaos_projections_quadrature,
     first_chaos_projection,
     norm_hermite_coeff,
     second_chaos_sample_spectrum,
@@ -77,7 +77,7 @@ def test_ac2_second_chaos_duality(mesh6):
     quads, specs = [], []
     for s in np.random.SeedSequence(21010).spawn(12):
         ens = sample_time_processes(spec, grid, s)
-        quads.append(chaos_projection_quadrature(ens, basis, u, 2))
+        quads.append(chaos_projections_quadrature(ens, basis, u, [2])[2])
         specs.append(second_chaos_sample_spectrum(ens, u))
     quads = np.asarray(quads)
     specs = np.asarray(specs)

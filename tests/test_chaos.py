@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from conftest import second_chaos_hermite_form, spec_from_fractions
 from levelcurves.chaos import (
     asymptotic_variance_constants,
-    chaos_projection_quadrature,
     chaos_projections_quadrature,
     chaos_table,
     first_chaos_projection,
@@ -265,7 +264,7 @@ def test_quadrature_q1_matches_closed_form(mesh5):
     grid = TimeGrid(0.5, 11)
     ens = sample_time_processes(LONG_SPEC, grid, 21)
     for u in (0.4, 1.1):
-        quad = chaos_projection_quadrature(ens, basis, u, 1)
+        quad = chaos_projections_quadrature(ens, basis, u, [1])[1]
         closed = first_chaos_projection(ens, u)
         assert quad == pytest.approx(closed, abs=1e-8 * max(1, abs(closed)))
 
@@ -277,7 +276,7 @@ def test_quadrature_q2_matches_spectral(mesh5):
     quads, specs = [], []
     for s in np.random.SeedSequence(22).spawn(10):
         ens = sample_time_processes(LONG_SPEC, grid, s)
-        quads.append(chaos_projection_quadrature(ens, basis, u, 2))
+        quads.append(chaos_projections_quadrature(ens, basis, u, [2])[2])
         specs.append(second_chaos_sample_spectrum(ens, u))
     quads = np.asarray(quads)
     specs = np.asarray(specs)
@@ -482,8 +481,8 @@ def test_higher_chaos_tail_estimate_long_memory(mesh3):
     spec = spec_from_fractions({0: (0.26, 1.0, 2.2), 1: (0.65, 0.2, None),
                                 5: (0.09, 0.9, None)})
     est = higher_chaos_tail_estimate(
-        spec, mesh3, 0.5, [250.0, 500.0, 1000.0, 2000.0],
-        replicates=200, seed=314, dt=1.0)
+        spec, HarmonicBasis(mesh3, spec.ells), 0.5,
+        [250.0, 500.0, 1000.0, 2000.0], replicates=200, seed=314, dt=1.0)
     # growth exponent strictly below the leading 2 - 2 beta* = 1.6
     assert est.fitted_exponent < 1.5
     # tail share of the total variance decreasing in T
@@ -495,7 +494,7 @@ def test_higher_chaos_tail_short_memory_is_linear(mesh3):
     spec = spec_from_fractions({0: (0.4, 1.0, 2.0), 2: (0.35, 1.0, 2.5),
                                 3: (0.25, 1.0, 3.0)})
     est = higher_chaos_tail_estimate(
-        spec, mesh3, 0.5, [250.0, 500.0, 1000.0, 2000.0],
-        replicates=150, seed=217, dt=1.0)
+        spec, HarmonicBasis(mesh3, spec.ells), 0.5,
+        [250.0, 500.0, 1000.0, 2000.0], replicates=150, seed=217, dt=1.0)
     # Var(tail)/T bounded: fitted growth exponent close to linear
     assert est.fitted_exponent < 1.3

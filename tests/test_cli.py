@@ -102,6 +102,39 @@ def test_parse_errors_name_key_and_line():
         parse_config("study = variance-scaling\nlevel = 0.0\n" + SPEC_BLOCK)
 
 
+def test_multipole_errors_name_their_config_lines():
+    # the blocks used to be parsed as a separate text, so these errors
+    # counted lines from the first [multipole], not from the config
+    head = ("study = mean-length\nseed = 7\nreplicates = 60\n"
+            "level = 0.5\n"                                    # lines 1-4
+            "[multipole]\nell = 0\nc0 = 1.0\nbeta = 1.0\nalpha = 2.0\n")
+    with pytest.raises(ValueError,
+                       match=r"line 12: value for 'c0' is not numeric"):
+        parse_config(head + "[multipole]\nell = 2\nc0 = abc\nbeta = 0.4\n")
+    with pytest.raises(ValueError,
+                       match=r"block at line 11 is missing \['beta'\]"):
+        parse_config(head + "\n[multipole]\nell = 2\nc0 = 0.8\n")
+
+
+@pytest.mark.parametrize("study, keys", [("mean-length", ""),
+                                         ("berry-profile", "horizon = 10\n")],
+                         ids=["mean-length", "berry-profile"])
+def test_empty_u_grid_is_rejected_before_sampling(study, keys, tmp_path,
+                                                  capsys):
+    # mean-length used to write a header-only table and exit 0;
+    # berry-profile died in np.argmin after sampling every replicate
+    text = (f"study = {study}\n{keys}replicates = 4\nmesh_level = 1\n"
+            "u_grid =\n" + SPEC_BLOCK)
+    with pytest.raises(ValueError, match="key 'u_grid'"):
+        parse_config(text)
+    cfg_path = tmp_path / "empty.cfg"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert main([study, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "key 'u_grid'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validation_bounds():
     with pytest.raises(ValueError, match="mesh_level"):
         parse_config("study = mean-length\nlevel = 0\nmesh_level = 9\n"
@@ -213,11 +246,34 @@ def test_study_reruns_are_byte_identical(tmp_path):
     assert r1.tables == r2.tables
 
 
+TINY_LADDER = ("study = variance-scaling\nseed = 3\nreplicates = 6\n"
+               "mesh_level = 1\ndt = 1.0\nlevel = 0.5\n"
+               "t_ladder = 4, 8, 16, 32\nfunctional = ")
+
+
+WORKER_CFGS = {
+    "berry-profile": BERRY_CFG,
+    "mean-length": "study = mean-length\nseed = 3\nreplicates = 6\n"
+                   "mesh_level = 2\nu_grid = 0.0, 0.5\n" + SPEC_BLOCK,
+    **{f"variance-scaling {f}": TINY_LADDER + f + "\n" + LONG_SPEC_BLOCK
+       for f in ("chaos1", "chaos2", "length")},
+    "limit-law": "study = limit-law\nseed = 3\nreplicates = 6\n"
+                 "mesh_level = 1\ndt = 1.0\nhorizon = 20\nlevel = 0.5\n"
+                 "reference_size = 20\nrosenblatt_n_inner = 64\n"
+                 + LONG_SPEC_BLOCK,
+    "chaos-audit": "study = chaos-audit\nseed = 3\nreplicates = 4\n"
+                   "mesh_level = 1\ndt = 0.5\nhorizon = 5\nlevel = 0.5\n"
+                   "q_max = 3\n" + LONG_SPEC_BLOCK,
+}
+
+
 def test_workers_do_not_change_bytes():
-    cfg = parse_config(BERRY_CFG)
-    serial = run_study(cfg)
-    parallel = run_study(cfg, workers=2)
-    assert serial.tables == parallel.tables
+    # workers > 1 pickles each study's replicate kernel into the pool
+    for name, text in WORKER_CFGS.items():
+        cfg = parse_config(text)
+        serial = run_study(cfg)
+        parallel = run_study(cfg, workers=2)
+        assert serial.tables == parallel.tables, name
 
 
 def test_replay_round_trip(tmp_path):

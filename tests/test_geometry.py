@@ -350,7 +350,7 @@ def test_mesh_refinement_changes_mean_by_less_than_one_percent(mesh5, mesh6):
 def test_epsilon_length_far_level_is_zero(mesh3):
     grid = TimeGrid(1.0, 2)
     ens = sample_time_processes(SPEC, grid, 3)
-    sl = synthesize_slice(ens, mesh3, 0)
+    sl = synthesize_slice(ens, HarmonicBasis(mesh3, SPEC.ells), 0)
     cap = np.abs(sl.values).max() + 1.0
     assert epsilon_length(sl, mesh3, cap + 5.0, 0.5) == 0.0
     with pytest.raises(ValueError):
@@ -396,7 +396,7 @@ def test_epsilon_refinement_converges_to_extracted_length(mesh5):
 def test_boundary_functional_centering_identity(mesh3):
     grid = TimeGrid(0.5, 21)
     ens = sample_time_processes(SPEC, grid, 4)
-    sample = boundary_functional(ens, mesh3, 0.5)
+    sample = boundary_functional(ens, HarmonicBasis(mesh3, SPEC.ells), 0.5)
     expected = sample.raw_integral - grid.horizon * kac_rice_mean(SPEC, 0.5)
     assert sample.centered == pytest.approx(expected, abs=1e-12)
     assert np.all(sample.per_step_lengths >= 0)
@@ -446,10 +446,11 @@ def test_marching_blocks_change_no_bit(level, n_steps, per_block, u, hit,
 
 def test_write_lengths_csv(tmp_path, mesh3):
     grid = TimeGrid(0.5, 5)
+    basis = HarmonicBasis(mesh3, SPEC.ells)
     samples = []
     for s in np.random.SeedSequence(222).spawn(2):
         ens = sample_time_processes(SPEC, grid, s)
-        samples.append(boundary_functional(ens, mesh3, 0.0))
+        samples.append(boundary_functional(ens, basis, 0.0))
     path = tmp_path / "lengths.csv"
     write_lengths_csv(path, samples)
     lines = path.read_text().splitlines()

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from conftest import spec_from_fractions
+from levelcurves.cli import parse_config
 from levelcurves.special import legendre
 from levelcurves.spectrum import (
     BOUNDARY,
@@ -22,7 +23,6 @@ from levelcurves.spectrum import (
     multipole_cov,
     sigma1_sq,
     space_time_cov,
-    spectrum_from_text,
     spectrum_to_text,
 )
 
@@ -448,13 +448,19 @@ def test_csq_closed_form_elementary_cases():
 
 
 # ----------------------------------------------------------------------
-# Text ingestion
+# Text ingestion (the [multipole] blocks of a study config)
 # ----------------------------------------------------------------------
+
+def _parse_spectrum(blocks, top="study = mean-length\nlevel = 0\n"):
+    """The spectrum of a config made of ``blocks`` followed by ``top``."""
+    return parse_config(blocks + "\n" + top).spectrum
+
 
 def test_spectrum_text_round_trip():
     spec = spec_from_fractions({0: (0.4, 1.0, 2.0), 2: (0.6, 0.4, None)})
     text = spectrum_to_text(spec)
-    spec2 = spectrum_from_text(text, normalize=False)
+    spec2 = _parse_spectrum(
+        text, "study = mean-length\nlevel = 0\nnormalize = false\n")
     assert spec == spec2
 
 
@@ -470,17 +476,57 @@ def test_spectrum_text_minimal():
     c0 = 0.5
     beta = 0.7
     """
-    spec = spectrum_from_text(text)
+    spec = _parse_spectrum(text)
     assert spec.ells == (0, 2)
     assert spec.sigma0_sq == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spectrum_text_errors_name_line_and_key():
     with pytest.raises(ValueError, match="beta"):
-        spectrum_from_text("[multipole]\nell = 0\nc0 = 1\nbeta = 1.5\nalpha = 2")
+        _parse_spectrum("[multipole]\nell = 0\nc0 = 1\nbeta = 1.5\nalpha = 2")
     with pytest.raises(ValueError, match="line 2"):
-        spectrum_from_text("[multipole]\nwhat = 3\n")
+        _parse_spectrum("[multipole]\nwhat = 3\n")
     with pytest.raises(ValueError, match="missing"):
-        spectrum_from_text("[multipole]\nell = 0\n")
+        _parse_spectrum("[multipole]\nell = 0\n")
     with pytest.raises(ValueError, match="numeric"):
-        spectrum_from_text("[multipole]\nell = 0\nc0 = abc\nbeta = 1\nalpha = 2")
+        _parse_spectrum("[multipole]\nell = 0\nc0 = abc\nbeta = 1\nalpha = 2")
+
+
+@st.composite
+def _config_layouts(draw):
+    """One config as (canonical, spread) texts.  The canonical text has
+    its top-level keys first and then the blocks.  The spread text has the
+    same lines with the top-level keys before, between and after the
+    blocks, comments, blank lines and any casing of [multipole]."""
+    blocks = []
+    for ell in [0] + sorted(draw(st.sets(st.integers(1, 6), min_size=1,
+                                         max_size=3))):
+        beta = draw(st.sampled_from([0.2, 0.45, 0.9, 1.0]))
+        keys = [f"ell = {ell}", f"c0 = {draw(st.floats(0.1, 5.0))!r}",
+                f"beta = {beta}"] + (["alpha = 2.5"] if beta == 1.0 else [])
+        blocks.append(draw(st.permutations(keys)))
+    top = draw(st.permutations([
+        "study = mean-length", f"seed = {draw(st.integers(0, 99))}",
+        "replicates = 10", "mesh_level = 2", "u_grid = 0.0, 0.5",
+        f"level = {draw(st.floats(-2.0, 2.0))!r}"]))
+    canonical = top + [ln for b in blocks for ln in ["[multipole]"] + b]
+    cuts = sorted(draw(st.lists(st.integers(0, len(top)),
+                                min_size=len(blocks), max_size=len(blocks))))
+    spread = top[:cuts[0]]
+    for i, b in enumerate(blocks):
+        header = "".join(draw(st.sampled_from([c.lower(), c.upper()]))
+                         for c in "[multipole]")
+        spread += [header] + b + top[cuts[i]:(cuts + [len(top)])[i + 1]]
+    noisy = []
+    for ln in spread:
+        noisy += draw(st.lists(st.sampled_from(["", "   ", "# a comment"]),
+                               max_size=2))
+        noisy.append(draw(st.sampled_from(["", "  "])) + ln
+                     + draw(st.sampled_from(["", "  # trailing note"])))
+    return "\n".join(canonical) + "\n", "\n".join(noisy) + "\n"
+
+
+@given(_config_layouts())
+def test_config_layout_does_not_change_the_parse(layouts):
+    canonical, spread = layouts
+    assert parse_config(spread) == parse_config(canonical)

@@ -352,15 +352,16 @@ def test_point_covariance_matches_model(mesh3):
 def test_synthesize_slice_shapes_and_index(mesh3):
     grid = TimeGrid(0.5, 6)
     ens = sample_time_processes(SPEC, grid, 5)
-    sl = synthesize_slice(ens, mesh3, 3)
+    basis = HarmonicBasis(mesh3, SPEC.ells)
+    sl = synthesize_slice(ens, basis, 3)
     assert sl.values.shape == (mesh3.n_vertices,)
     assert sl.grad_theta.shape == (mesh3.n_vertices,)
     assert sl.time_index == 3
     with pytest.raises(IndexError):
-        synthesize_slice(ens, mesh3, 6)
-    flat = synthesize_slice(ens, mesh3, 2, with_gradient=False)
+        synthesize_slice(ens, basis, 6)
+    flat = synthesize_slice(ens, basis, 2, with_gradient=False)
     assert flat.grad_theta is None
-    block = synthesize_values(ens, HarmonicBasis(mesh3, SPEC.ells))
+    block = synthesize_values(ens, basis)
     assert np.allclose(block[:, 3], sl.values)
 
 
