@@ -86,10 +86,13 @@ _NEXT = (_ODD + 1) % 3
 _AFTER = (_ODD + 2) % 3
 
 
-def _columns(values):
-    """``values`` as a C-contiguous float (V, S) array; a (V,) slice is
-    one column."""
-    vals = np.asarray(values, dtype=float)
+def _columns(values, mesh):
+    """``values`` as a C-contiguous float (V, S) array, one row per vertex
+    of ``mesh``; a (V,) slice is one column."""
+    vals = np.atleast_1d(np.asarray(values, dtype=float))
+    if vals.shape[0] != mesh.n_vertices:
+        raise ValueError(f"values have {vals.shape[0]} rows but the mesh "
+                         f"has {mesh.n_vertices} vertices")
     return np.ascontiguousarray(vals.reshape(vals.shape[0], -1))
 
 
@@ -111,10 +114,12 @@ def _crossings(vals, cols, mesh, u):
     of the slices ``cols`` of a (V, N) array with no value exactly at u,
     triangle-major, and their codes."""
     above = (vals[:, cols] > u).view(np.uint8)     # (V, S)
-    tri = mesh.triangles
-    code = above[tri[:, 0]]               # (F, S)
-    code |= (above << 1)[tri[:, 1]]
-    code |= (above << 2)[tri[:, 2]]
+    # contiguous corner columns: a strided triangles[:, i] index column
+    # makes the row gather two to three times slower
+    c0, c1, c2 = mesh.corners
+    code = above.take(c0, axis=0)         # (F, S)
+    code |= (above << 1).take(c1, axis=0)
+    code |= (above << 2).take(c2, axis=0)
     code = code.ravel()
     k = np.flatnonzero((code != 0) & (code != 7))
     return k, code[k]
@@ -170,7 +175,7 @@ def isoline_lengths(values, mesh, u):
     sums its own crossings in triangle order, so neither changes a bit.
     Returns (lengths (S,), perturbed_vertex_count).
     """
-    vals = _columns(values)
+    vals = _columns(values, mesh)
     n_slices = vals.shape[1]
     step = max(1, _BLOCK_VALUES // vals.shape[0])
     lengths = np.empty(n_slices)
@@ -196,7 +201,7 @@ def extract_level_curves(field_slice, mesh, u):
     values = getattr(field_slice, "values", field_slice)
     k = getattr(field_slice, "time_index", 0)
     u = float(u)
-    vals = _columns(values)
+    vals = _columns(values, mesh)
     vals, cols, n_pert = _nudged(vals, slice(0, vals.shape[1]), u)
     (v_o, v_a, v_b), t, (p_a, p_b), arcs = _geometry(
         vals, cols, mesh, u, *_crossings(vals, cols, mesh, u))

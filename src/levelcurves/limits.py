@@ -421,6 +421,8 @@ def berry_profile(spectrum, u_grid, horizon, replicates, seed, dt=0.25,
     from .spectrum import sigma1_sq
 
     u_grid = [float(u) for u in u_grid]
+    if not u_grid:
+        raise ValueError("u_grid must hold at least one level")
     grid = TimeGrid.for_horizon(horizon, dt)
     kernel = partial(measure_replicate, spectrum, grid,
                      _centered_spectrum_integrals)

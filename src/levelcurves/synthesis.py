@@ -23,7 +23,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -150,6 +150,14 @@ class SphereMesh:
     @property
     def n_triangles(self):
         return self.triangles.shape[0]
+
+    @cached_property
+    def corners(self):
+        """Read-only C-contiguous (3, F) ``triangles.T``: row i holds the
+        i-th corner of every triangle, built on first use."""
+        corners = np.ascontiguousarray(self.triangles.T)
+        corners.flags.writeable = False
+        return corners
 
 
 def _spherical_triangle_areas(verts, tris):

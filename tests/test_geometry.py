@@ -238,6 +238,49 @@ def test_code_table_kernel_matches_float_gather_kernel(block):
     assert n_pert == expected_pert
 
 
+@pytest.mark.parametrize("level, n_slices, grid, u", [
+    *((6, 1, None, u) for u in (0.0, 0.5, 1.0, 1.5)),
+    # 300 slices of mesh 3 span two marching blocks; on the 0.5 grid both
+    # blocks hold values exactly at u
+    (3, 300, None, 0.3),
+    (3, 300, 0.5, 0.5),
+])
+def test_code_table_kernel_matches_oracle_on_wide_and_fine_blocks(
+        request, level, n_slices, grid, u):
+    mesh = request.getfixturevalue(f"mesh{level}")
+    vals = np.random.default_rng(31).standard_normal((mesh.n_vertices,
+                                                      n_slices))
+    if grid is not None:
+        vals = np.round(vals / grid) * grid
+    lengths, n_pert = isoline_lengths(vals, mesh, u)
+    expected, expected_pert = _oracle_lengths(vals, mesh, u)
+    assert np.array_equal(lengths, expected)
+    assert n_pert == expected_pert
+    assert (n_pert > 0) == (grid is not None)
+
+
+def test_mesh_corners_are_contiguous_read_only_triangle_columns():
+    mesh = build_icosphere(2)
+    corners = mesh.corners
+    assert np.array_equal(corners, mesh.triangles.T)
+    assert corners.flags.c_contiguous
+    assert not corners.flags.writeable
+    assert mesh.corners is corners
+
+
+@pytest.mark.parametrize("level", [2, 4])
+def test_values_of_another_mesh_are_rejected(mesh3, level):
+    vals = _mesh(level).vertices[:, 2]
+    match = (f"values have {vals.shape[0]} rows but the mesh has "
+             f"{mesh3.n_vertices} vertices")
+    with pytest.raises(ValueError, match=match):
+        isoline_lengths(vals, mesh3, 0.0)
+    with pytest.raises(ValueError, match=match):
+        isoline_lengths(np.stack([vals, vals], axis=1), mesh3, 0.0)
+    with pytest.raises(ValueError, match=match):
+        extract_level_curves(vals, mesh3, 0.0)
+
+
 @given(value_blocks(exact_hits=False))
 def test_length_is_symmetric_under_field_and_level_sign_flip(block):
     vals, mesh, u = block

@@ -321,3 +321,15 @@ def test_berry_profile_deterministic():
     p1 = berry_profile(spec, [0.0, 0.5, 1.0], 50.0, 100, seed=5, dt=0.5)
     p2 = berry_profile(spec, [0.0, 0.5, 1.0], 50.0, 100, seed=5, dt=0.5)
     assert p1.variances == p2.variances
+
+
+def test_berry_profile_rejects_an_empty_level_list_before_sampling(
+        monkeypatch):
+    spec = spec_from_fractions({0: (0.35, 1.0, 2.2), 1: (0.5, 0.2, None)})
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("replicates were sampled")
+
+    monkeypatch.setattr(limits.mcstats, "replicate_map", no_sampling)
+    with pytest.raises(ValueError, match="at least one level"):
+        berry_profile(spec, [], 50.0, 40, seed=5, dt=0.5)
