@@ -14,8 +14,9 @@ plane (alpha vanishes unless both indices are even).
 
 Two independent routes to the q = 2 component are provided: the
 closed-form in terms of the sample power spectrum (no mesh), and the full
-sphere-time quadrature of the triple-Hermite integrand (mesh); their
-agreement is the strongest correctness lever in the package.
+sphere-time quadrature of the triple-Hermite integrand (mesh or exact
+cubature); their agreement is the strongest correctness lever in the
+package.
 
 Variance formulas.  The exact second-chaos variance follows from the
 sample-spectrum form and Cov(a^2(t), a^2(s)) = 2 C(t-s)^2:
@@ -244,7 +245,7 @@ def second_chaos_sample_spectrum(ensemble, u):
 
 
 # ----------------------------------------------------------------------
-# Quadrature projections (mesh route)
+# Quadrature projections (mesh or cubature route)
 # ----------------------------------------------------------------------
 
 _BLOCK_VALUES = 40_000  # (slice, vertex) values per block of the quadrature
@@ -262,8 +263,10 @@ def _recurrence_rows(h, x, tmp, coeffs):
 
 def chaos_projections_quadrature(ensemble, basis, u, orders):
     """Sphere-time quadrature of the triple-Hermite integrands for several
-    chaos orders in one sweep over time slices, on the mesh of ``basis``
-    (a ``HarmonicBasis``).
+    chaos orders in one sweep over time slices, on the mesh or cubature of
+    ``basis`` (a ``HarmonicBasis``).  The order-q integrand is a spherical
+    polynomial of degree <= q * ell_max, so ``sphere_cubature`` of that
+    degree gives the exact projection; a mesh gives an approximation.
 
     Gradients are normalized by sigma1 before entering the Hermite
     products.  Returns {q: value}.  The slices go in blocks of about

@@ -8,8 +8,11 @@ including with multiple workers, because replicate reduction is fixed in
 replicate order.
 
 Subcommands: mean-length, variance-scaling, berry-profile, limit-law,
-chaos-audit, replay.  Exit status: 0 when every invoked check passes,
-2 when a check fails, 1 on error.
+chaos-audit, replay.  Exit status: 0 when every invoked check passes
+(for replay: every recorded table is byte-identical), 2 when a check
+fails (for replay: a table differs, is missing or was not recorded),
+3 when replay finds the manifest superseded by a newer numerics version
+of its study, 1 on error.
 """
 
 from __future__ import annotations
@@ -36,10 +39,10 @@ from .limits import berry_profile, fit_variance_scaling, limit_law_report
 from .spectrum import MultipoleEntry, classify_regime, make_spectrum, \
     spectrum_to_text
 from .synthesis import HarmonicBasis, TimeGrid, build_icosphere, \
-    measure_replicate
+    measure_replicate, sphere_cubature
 
-__all__ = ["RunConfig", "StudyResult", "parse_config", "render_config",
-           "run_study", "emit_plot_data", "main"]
+__all__ = ["RunConfig", "StudyResult", "ReplayReport", "parse_config",
+           "render_config", "run_study", "emit_plot_data", "main"]
 
 # ----------------------------------------------------------------------
 # Config
@@ -452,8 +455,11 @@ def _audit_projections(basis, u, orders, ensemble):
 
 
 def _study_chaos_audit(cfg, config_hash):
+    # the order-q integrand has degree <= q * ell_max, so this cubature
+    # projects exactly; mesh_level does not enter this study
     orders = list(range(1, cfg.q_max + 1))
-    basis = HarmonicBasis(build_icosphere(cfg.mesh_level), cfg.spectrum.ells)
+    basis = HarmonicBasis(sphere_cubature(cfg.q_max * max(cfg.spectrum.ells)),
+                          cfg.spectrum.ells)
     grid = TimeGrid.for_horizon(cfg.horizon, cfg.dt)
     kernel = partial(measure_replicate, cfg.spectrum, grid,
                      partial(_audit_projections, basis, cfg.level, orders))
@@ -489,6 +495,11 @@ STUDIES = {
     "limit-law": _study_limit_law,
     "chaos-audit": _study_chaos_audit,
 }
+
+# study name -> numerics version, raised when the study's tables change on
+# purpose; replay reports a manifest of an older version as superseded.
+# 2 for chaos-audit: projections on the exact cubature, not the mesh.
+NUMERICS = {study: 1 for study in STUDIES} | {"chaos-audit": 2}
 
 
 def run_study(config, out_dir=None, workers=None):
@@ -529,6 +540,7 @@ def _render_manifest(result, config_hash):
         "levelcurves-manifest v1",
         f"package_version: {__version__}",
         f"study: {result.study}",
+        f"numerics: {NUMERICS[result.study]}",
         f"seed: {result.config.seed}",
         f"config_sha256: {config_hash}",
         f"wall_time_s: {result.wall_time_s:.3f}",
@@ -554,13 +566,36 @@ def _write_result(result, out_dir):
     (out_dir / "manifest.txt").write_text(result.manifest)
 
 
+@dataclass(frozen=True)
+class ReplayReport:
+    """A replayed study, the numerics version its manifest recorded, and
+    one status per table name: identical, differs, retired (recorded but
+    no longer produced) or new (produced but not recorded)."""
+
+    result: StudyResult
+    recorded_numerics: int
+    tables: dict
+
+    @property
+    def superseded(self):
+        return self.recorded_numerics < NUMERICS[self.result.study]
+
+    @property
+    def mismatches(self):
+        return [name for name, status in self.tables.items()
+                if status != "identical"]
+
+
 def replay(manifest_path, out_dir):
-    """Re-run the manifest's config and verify byte-identical tables."""
+    """Re-run the manifest's config and compare every table, recorded or
+    produced, with the recorded digests.  A manifest without a
+    ``numerics:`` line has numerics 1."""
     text = Path(manifest_path).read_text()
     lines = text.splitlines()
     if not lines or lines[0] != "levelcurves-manifest v1":
         raise ValueError(f"{manifest_path} is not a levelcurves manifest")
     recorded = {}
+    numerics = 1
     config_lines = []
     in_config = False
     for ln in lines[1:]:
@@ -573,16 +608,29 @@ def replay(manifest_path, out_dir):
         elif ln.startswith("table: "):
             name, digest = ln[len("table: "):].rsplit(" sha256:", 1)
             recorded[name] = digest
+        elif ln.startswith("numerics: "):
+            numerics = int(ln[len("numerics: "):])
     if not config_lines:
         raise ValueError("manifest carries no config block")
+    if not recorded:
+        raise ValueError("manifest records no table, so replay could "
+                         "verify nothing")
     cfg = parse_config("\n".join(config_lines))
+    if numerics > NUMERICS[cfg.study]:
+        raise ValueError(f"manifest numerics {numerics} is newer than "
+                         f"{NUMERICS[cfg.study]}, this build's {cfg.study}")
     result = run_study(cfg, out_dir=out_dir)
-    mismatches = []
-    for name, digest in recorded.items():
-        new = hashlib.sha256(result.tables.get(name, "").encode()).hexdigest()
-        if new != digest:
-            mismatches.append(name)
-    return result, mismatches
+    tables = {}
+    for name in sorted(recorded.keys() | result.tables.keys()):
+        if name not in result.tables:
+            tables[name] = "retired"
+        elif name not in recorded:
+            tables[name] = "new"
+        else:
+            digest = hashlib.sha256(result.tables[name].encode()).hexdigest()
+            tables[name] = "identical" if digest == recorded[name] \
+                else "differs"
+    return ReplayReport(result, numerics, tables)
 
 
 # ----------------------------------------------------------------------
@@ -619,12 +667,19 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "replay":
-            result, mismatches = replay(args.manifest, args.out)
-            for name in sorted(result.tables):
-                status = "FAIL" if name in mismatches else "ok"
-                print(f"replay {name}: {status}")
-            if mismatches:
-                print(f"replay: {len(mismatches)} table(s) differ")
+            report = replay(args.manifest, args.out)
+            if report.superseded:
+                print(f"replay: superseded (numerics "
+                      f"{report.recorded_numerics} \u2192 "
+                      f"{NUMERICS[report.result.study]})")
+                for name, status in report.tables.items():
+                    print(f"replay {name}: {status}")
+                return 3
+            for name, status in report.tables.items():
+                verdict = "ok" if status == "identical" else f"FAIL ({status})"
+                print(f"replay {name}: {verdict}")
+            if report.mismatches:
+                print(f"replay: {len(report.mismatches)} table(s) differ")
                 return 2
             print("replay: byte-identical")
             return 0

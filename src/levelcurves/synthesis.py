@@ -14,13 +14,15 @@ array, one time slice (or block of slices) at a time.
 Meshes are subdivided icosahedra projected to the unit sphere, rotated by
 a fixed rotation so no vertex sits near a pole, with per-vertex quadrature
 weights from one-third spherical-triangle-area accumulation (weights sum
-to the sphere area 4 pi).
+to the sphere area 4 pi).  Integrals of spherical polynomials, such as
+the chaos projections, use an exact product cubature instead.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -34,6 +36,8 @@ __all__ = [
     "TimeGrid",
     "SphereMesh",
     "build_icosphere",
+    "SphereCubature",
+    "sphere_cubature",
     "HarmonicBasis",
     "CoefficientEnsemble",
     "sample_time_processes",
@@ -220,12 +224,53 @@ def build_icosphere(subdivision_level):
 
 
 # ----------------------------------------------------------------------
-# Harmonic basis on a mesh
+# Exact sphere cubature
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SphereCubature:
+    """Nodes (theta, phi) with weights summing to 4 pi; stands in for a
+    mesh wherever only vertex positions and weights are read."""
+
+    theta: np.ndarray
+    phi: np.ndarray
+    vertex_weights: np.ndarray
+
+    @property
+    def n_vertices(self):
+        return self.theta.shape[0]
+
+
+def sphere_cubature(degree):
+    """Product rule exact for spherical polynomials of degree <= ``degree``:
+    floor(degree/2) + 1 Gauss-Legendre nodes in cos theta times degree + 1
+    equispaced phi (Atkinson & Han 2012, LNM 2044, ch. 5).  No node sits
+    on a pole."""
+    try:
+        degree = operator.index(degree)
+    except TypeError:
+        raise ValueError(f"degree must be an integer, got {degree!r}") from None
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
+    x, w = np.polynomial.legendre.leggauss(degree // 2 + 1)
+    n_phi = degree + 1
+    theta = np.repeat(np.arccos(x), n_phi)
+    phi = np.tile(2.0 * math.pi * np.arange(n_phi) / n_phi, x.size)
+    weights = np.repeat(w * (2.0 * math.pi / n_phi), n_phi)
+    for arr in (theta, phi, weights):
+        arr.flags.writeable = False
+    return SphereCubature(theta, phi, weights)
+
+
+# ----------------------------------------------------------------------
+# Harmonic basis on a mesh or cubature
 # ----------------------------------------------------------------------
 
 class HarmonicBasis:
     """Precomputed harmonic columns Y (and lazily their frame derivatives)
-    at the vertices of a mesh, for the degrees present in a spectrum."""
+    at the vertices of a mesh or the nodes of a cubature, for the degrees
+    present in a spectrum.  Only ``theta``, ``phi``, ``vertex_weights``
+    and ``n_vertices`` of ``mesh`` are read here and by the quadrature."""
 
     def __init__(self, mesh, ells):
         self.mesh = mesh

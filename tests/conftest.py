@@ -9,8 +9,8 @@ from levelcurves.chaos import chaos_projections_quadrature, \
 from levelcurves.geometry import boundary_functional, kac_rice_mean
 from levelcurves.special import gaussian_density
 from levelcurves.spectrum import MultipoleEntry, make_spectrum, sigma1_sq
-from levelcurves.synthesis import TimeGrid, build_icosphere, \
-    sample_time_processes
+from levelcurves.synthesis import HarmonicBasis, TimeGrid, \
+    build_icosphere, sample_time_processes, sphere_cubature
 
 # Property tests draw the same examples on every run and have no per-example
 # deadline, so a slow core cannot fail them.  No example database is kept.
@@ -58,8 +58,9 @@ def kac_rice_mean_check(spec, basis, levels, seed, reps, bound=0.02,
 
     Each replicate samples a two-step grid (horizon 1) and takes the
     centered boundary functional (mean of the two slice lengths minus
-    Kac-Rice) minus its quadrature chaos projections of orders 1-6.  Each
-    projection is a vertex sum of Hermite products of independent
+    Kac-Rice) on ``basis.mesh`` minus its chaos projections of orders 1-6,
+    computed exactly on ``sphere_cubature(6 * ell_max)``.  Each
+    projection is a weighted node sum of Hermite products of independent
     unit-variance Gaussians, so its mean is exactly zero: with the
     coefficient held at 1 (not fitted) the control variates add no bias,
     and they remove most of the replicate-to-replicate variance
@@ -70,11 +71,12 @@ def kac_rice_mean_check(spec, basis, levels, seed, reps, bound=0.02,
     mean deviation is within ``bound`` of it.  Returns (ok, details).
     """
     grid = TimeGrid(1.0, 2)
+    controls = HarmonicBasis(sphere_cubature(6 * max(spec.ells)), spec.ells)
     dev = np.empty((reps, len(levels)))
     for i, s in enumerate(np.random.SeedSequence(seed).spawn(reps)):
         ens = sample_time_processes(spec, grid, s)
         for j, u in enumerate(levels):
-            proj = chaos_projections_quadrature(ens, basis, u, range(1, 7))
+            proj = chaos_projections_quadrature(ens, controls, u, range(1, 7))
             dev[i, j] = boundary_functional(ens, basis, u).centered \
                 - sum(proj.values())
     ok = True

@@ -9,6 +9,7 @@ import pytest
 
 import levelcurves
 from levelcurves.cli import (
+    NUMERICS,
     RunConfig,
     StudyResult,
     build_parser,
@@ -279,9 +280,8 @@ def test_workers_do_not_change_bytes():
 def test_replay_round_trip(tmp_path):
     cfg = parse_config(BERRY_CFG)
     run_study(cfg, out_dir=tmp_path / "orig")
-    result, mismatches = replay(tmp_path / "orig" / "manifest.txt",
-                                tmp_path / "redo")
-    assert mismatches == []
+    report = replay(tmp_path / "orig" / "manifest.txt", tmp_path / "redo")
+    assert report.mismatches == [] and not report.superseded
     orig = (tmp_path / "orig" / "tables" / "berry_profile.csv").read_bytes()
     redo = (tmp_path / "redo" / "tables" / "berry_profile.csv").read_bytes()
     assert orig == redo
@@ -294,8 +294,8 @@ def test_replay_detects_tampering(tmp_path):
     text = manifest_path.read_text().replace(
         "mean_length.csv sha256:", "mean_length.csv sha256:0")
     manifest_path.write_text(text)
-    _, mismatches = replay(manifest_path, tmp_path / "redo")
-    assert mismatches == ["mean_length.csv"]
+    report = replay(manifest_path, tmp_path / "redo")
+    assert report.mismatches == ["mean_length.csv"]
     with pytest.raises(ValueError):
         replay(tmp_path / "tables" / "mean_length.csv", tmp_path / "x")
 
@@ -426,3 +426,107 @@ def test_limit_law_study_loads_no_scipy(tmp_path):
     assert _run_fresh(code, tmp_path) == "[]"
     summary = (tmp_path / "out" / "tables" / "limit_summary.csv").read_text()
     assert "long-memory" in summary
+
+
+# ----------------------------------------------------------------------
+# Replay verdicts and numerics versions
+# ----------------------------------------------------------------------
+
+# Manifests of small configs of every study, written before the manifest
+# carried a numerics line (every study at numerics 1; chaos-audit then
+# projected on the mesh).
+NUMERICS1 = Path(__file__).parent / "data" / "numerics1"
+
+
+@pytest.mark.parametrize("study", ["mean-length", "variance-scaling",
+                                   "berry-profile", "limit-law"])
+def test_numerics1_manifests_of_unchanged_studies_replay_identical(
+        tmp_path, capsys, study):
+    assert NUMERICS[study] == 1
+    manifest = NUMERICS1 / f"{study}.txt"
+    assert main(["replay", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "redo")]) == 0
+    out = capsys.readouterr().out
+    assert "replay: byte-identical" in out
+    assert "numerics: 1" in (tmp_path / "redo" / "manifest.txt").read_text()
+
+
+def test_numerics1_chaos_audit_manifest_is_superseded(tmp_path, capsys):
+    manifest = NUMERICS1 / "chaos-audit.txt"
+    report = replay(manifest, tmp_path / "redo")
+    assert report.recorded_numerics == 1 and report.superseded
+    assert set(report.tables) == {"duality.csv", "per_q_variance.csv",
+                                  "projections.csv"}
+    assert main(["replay", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "redo2")]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "replay: superseded (numerics 1 → 2)"
+    for name, status in report.tables.items():
+        assert f"replay {name}: {status}" in out
+    assert "replay: byte-identical" not in out
+    # a manifest of the current numerics replays exactly
+    redo = tmp_path / "redo" / "manifest.txt"
+    assert "numerics: 2" in redo.read_text()
+    assert main(["replay", "--manifest", str(redo),
+                 "--out", str(tmp_path / "redo3")]) == 0
+
+
+def _manifest(tmp_path, cfg_text):
+    run_study(parse_config(cfg_text), out_dir=tmp_path / "orig")
+    return tmp_path / "orig" / "manifest.txt"
+
+
+def _edit(path, keep=lambda ln: True, extra=()):
+    lines = [ln for ln in path.read_text().splitlines() if keep(ln)]
+    config = lines.index("config:")
+    path.write_text("\n".join(lines[:config] + list(extra)
+                              + lines[config:]) + "\n")
+
+
+def test_replay_of_a_manifest_without_tables_is_an_error(tmp_path, capsys):
+    path = _manifest(tmp_path, WORKER_CFGS["chaos-audit"])
+    _edit(path, keep=lambda ln: not ln.startswith("table: "))
+    with pytest.raises(ValueError, match="records no table"):
+        replay(path, tmp_path / "redo")
+    assert main(["replay", "--manifest", str(path),
+                 "--out", str(tmp_path / "redo")]) == 1
+    assert "byte-identical" not in capsys.readouterr().out
+
+
+def test_replay_names_unrecorded_and_missing_tables(tmp_path, capsys):
+    path = _manifest(tmp_path, WORKER_CFGS["chaos-audit"])
+    _edit(path, keep=lambda ln: not ln.startswith("table: duality.csv"),
+          extra=["table: gone.csv sha256:" + "0" * 64])
+    report = replay(path, tmp_path / "redo")
+    assert not report.superseded
+    assert report.tables == {"duality.csv": "new", "gone.csv": "retired",
+                             "per_q_variance.csv": "identical",
+                             "projections.csv": "identical"}
+    assert main(["replay", "--manifest", str(path),
+                 "--out", str(tmp_path / "redo2")]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert "replay duality.csv: FAIL (new)" in out
+    assert "replay gone.csv: FAIL (retired)" in out
+    assert "replay projections.csv: ok" in out
+    assert "replay: 2 table(s) differ" in out
+
+
+def test_replay_of_a_tampered_table_at_current_numerics_exits_2(tmp_path,
+                                                                capsys):
+    path = _manifest(tmp_path, WORKER_CFGS["chaos-audit"])
+    text = path.read_text()
+    assert "numerics: 2" in text
+    path.write_text(text.replace("projections.csv sha256:",
+                                 "projections.csv sha256:0"))
+    assert main(["replay", "--manifest", str(path),
+                 "--out", str(tmp_path / "redo")]) == 2
+    assert "replay projections.csv: FAIL (differs)" \
+        in capsys.readouterr().out
+
+
+def test_replay_rejects_a_newer_numerics_version(tmp_path):
+    path = _manifest(tmp_path, MEAN_CFG.replace("replicates = 60",
+                                                "replicates = 4"))
+    path.write_text(path.read_text().replace("numerics: 1", "numerics: 2"))
+    with pytest.raises(ValueError, match="numerics 2 is newer"):
+        replay(path, tmp_path / "redo")

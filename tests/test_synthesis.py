@@ -20,6 +20,7 @@ from levelcurves.synthesis import (
     load_ensemble,
     sample_time_processes,
     save_ensemble,
+    sphere_cubature,
     synthesize_multipole_slice,
     synthesize_slice,
     synthesize_values,
@@ -114,6 +115,29 @@ def test_icosphere_geometry_invariants(mesh4):
     # no vertex near a pole
     pol = np.arccos(np.clip(np.abs(mesh4.vertices[:, 2]), -1, 1))
     assert pol.min() > 1e-6
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 5, 8, 13, 30])
+def test_sphere_cubature_nodes_and_weights(degree):
+    rule = sphere_cubature(degree)
+    assert rule.n_vertices == (degree // 2 + 1) * (degree + 1)
+    assert rule.vertex_weights.sum() == pytest.approx(4 * math.pi,
+                                                      rel=1e-14)
+    assert np.all(rule.vertex_weights > 0)
+    assert np.all((rule.theta > 0) & (rule.theta < math.pi))
+    for arr in (rule.theta, rule.phi, rule.vertex_weights):
+        assert not arr.flags.writeable
+    # harmonics of degree l, l' with l + l' <= degree are orthonormal
+    # under the rule, so products of degree <= degree integrate exactly
+    basis = HarmonicBasis(rule, range(degree // 2 + 1))
+    gram = basis.y.T @ (rule.vertex_weights[:, None] * basis.y)
+    assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-13
+
+
+@pytest.mark.parametrize("degree", [-1, 2.5, 4.0, "4", None])
+def test_sphere_cubature_rejects_a_bad_degree(degree):
+    with pytest.raises(ValueError, match="degree"):
+        sphere_cubature(degree)
 
 
 # ----------------------------------------------------------------------
