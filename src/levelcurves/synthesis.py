@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .special import harmonic_columns
+from .special import harmonic_columns, legendre_table
 from .spectrum import multipole_cov
 
 __all__ = [
@@ -252,7 +252,17 @@ def sphere_cubature(degree):
         raise ValueError(f"degree must be an integer, got {degree!r}") from None
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    x, w = np.polynomial.legendre.leggauss(degree // 2 + 1)
+    # Gauss-Legendre roots are the eigenvalues of the Jacobi matrix (Golub &
+    # Welsch 1969), polished by one Newton step; numpy.linalg is loaded with
+    # numpy, numpy.polynomial is not
+    n = degree // 2 + 1
+    k = np.arange(1.0, n)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    p, dp, _ = legendre_table(n, x)
+    x = x - p[n] / dp[n]
+    dp = legendre_table(n, x)[1][n]
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
     n_phi = degree + 1
     theta = np.repeat(np.arccos(x), n_phi)
     phi = np.tile(2.0 * math.pi * np.arange(n_phi) / n_phi, x.size)

@@ -428,6 +428,19 @@ def test_limit_law_study_loads_no_scipy(tmp_path):
     assert "long-memory" in summary
 
 
+def test_chaos_audit_study_loads_no_numpy_polynomial(tmp_path):
+    """The cubature's Gauss-Legendre nodes come from numpy.linalg, so a
+    chaos-audit study pays no lazy numpy.polynomial import."""
+    (tmp_path / "audit.cfg").write_text(WORKER_CFGS["chaos-audit"])
+    code = ("import sys\n"
+            "from levelcurves.cli import main\n"
+            "assert main(['chaos-audit', '--config', 'audit.cfg', "
+            "'--out', 'out']) in (0, 2)\n"
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('numpy.polynomial')))")
+    assert _run_fresh(code, tmp_path) == "[]"
+
+
 # ----------------------------------------------------------------------
 # Replay verdicts and numerics versions
 # ----------------------------------------------------------------------

@@ -132,6 +132,12 @@ def test_sphere_cubature_nodes_and_weights(degree):
     basis = HarmonicBasis(rule, range(degree // 2 + 1))
     gram = basis.y.T @ (rule.vertex_weights[:, None] * basis.y)
     assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-13
+    # the latitude rings are numpy's Gauss-Legendre rule
+    x, w = np.polynomial.legendre.leggauss(degree // 2 + 1)
+    ring = np.argsort(rule.theta[::degree + 1])[::-1]
+    assert np.abs(np.cos(rule.theta[::degree + 1][ring]) - x).max() < 1e-14
+    ring_weights = rule.vertex_weights[::degree + 1][ring] * (degree + 1)
+    assert np.abs(ring_weights / (2 * math.pi * w) - 1).max() < 1e-12
 
 
 @pytest.mark.parametrize("degree", [-1, 2.5, 4.0, "4", None])
