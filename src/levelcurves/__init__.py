@@ -11,18 +11,18 @@ memory).
 
 Module map:
 
-- ``special``   Legendre polynomials, real spherical harmonics, Hermite
-                polynomials, Gaussian density.
+- ``special``   tables of Legendre and Hermite polynomial values, real
+                spherical-harmonic columns, Gaussian density.
 - ``spectrum``  power-spectrum model, covariance closed forms, memory-regime
                 classification.
 - ``synthesis`` coefficient-path sampling (circulant embedding), icosphere
-                meshes, field/gradient synthesis.
+                meshes, exact sphere cubature, field/gradient synthesis.
 - ``geometry``  isoline extraction, Kac-Rice mean, boundary-length
                 functional.
 - ``chaos``     Hermite-expansion coefficients, chaos projections, exact and
                 asymptotic variance formulas.
-- ``limits``    Rosenblatt samplers, variance-scaling fits, limit-law tests,
-                Berry variance profiles.
+- ``limits``    Rosenblatt sampler and composite reference, variance-scaling
+                fits, limit-law tests, Berry variance profiles.
 - ``cli``       the ``levelcurves`` command-line front end.
 """
 

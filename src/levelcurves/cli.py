@@ -42,7 +42,7 @@ from .synthesis import HarmonicBasis, TimeGrid, build_icosphere, \
     measure_replicate, sphere_cubature
 
 __all__ = ["RunConfig", "StudyResult", "ReplayReport", "parse_config",
-           "render_config", "run_study", "emit_plot_data", "main"]
+           "render_config", "run_study", "main"]
 
 # ----------------------------------------------------------------------
 # Config
@@ -340,9 +340,9 @@ def _study_mean_length(cfg, config_hash):
         ("u", "replicates", "empirical_mean", "se", "kac_rice", "z_score"),
         out_rows, config_hash)
     if cfg.dump_lengths:
-        dump = [(r, 0, 0.0, rows[r, j])
-                for r in range(rows.shape[0]) for j in range(len(levels))]
-        tables["lengths.csv"] = _csv(("replicate", "k", "t", "length"),
+        dump = [(r, u, rows[r, j])
+                for r in range(rows.shape[0]) for j, u in enumerate(levels)]
+        tables["lengths.csv"] = _csv(("replicate", "u", "length"),
                                      dump, config_hash)
     return tables, checks
 
@@ -499,7 +499,9 @@ STUDIES = {
 # study name -> numerics version, raised when the study's tables change on
 # purpose; replay reports a manifest of an older version as superseded.
 # 2 for chaos-audit: projections on the exact cubature, not the mesh.
-NUMERICS = {study: 1 for study in STUDIES} | {"chaos-audit": 2}
+# 2 for mean-length: lengths.csv names each row's level.
+NUMERICS = {study: 1 for study in STUDIES} | {"chaos-audit": 2,
+                                              "mean-length": 2}
 
 
 def run_study(config, out_dir=None, workers=None):
@@ -516,21 +518,6 @@ def run_study(config, out_dir=None, workers=None):
     if out_dir is not None:
         _write_result(result, Path(out_dir))
     return result
-
-
-# ---- plot-data emission ----------------------------------------------
-
-def emit_plot_data(result, out_dir):
-    """Write the figure-ready tables of a completed study to ``out_dir``."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, text in result.tables.items():
-        if name.startswith("fig_") or name == "limit_cdf.csv":
-            path = out / name
-            path.write_text(text)
-            written.append(path)
-    return written
 
 
 # ---- manifest / replay ------------------------------------------------
@@ -598,7 +585,7 @@ def replay(manifest_path, out_dir):
     numerics = 1
     config_lines = []
     in_config = False
-    for ln in lines[1:]:
+    for lineno, ln in enumerate(lines[1:], start=2):
         if in_config:
             if ln.startswith("|"):
                 config_lines.append(ln[1:])
@@ -606,10 +593,17 @@ def replay(manifest_path, out_dir):
         if ln == "config:":
             in_config = True
         elif ln.startswith("table: "):
-            name, digest = ln[len("table: "):].rsplit(" sha256:", 1)
+            name, sep, digest = ln[len("table: "):].rpartition(" sha256:")
+            if not sep:
+                raise ValueError(f"manifest line {lineno}: table line "
+                                 f"without ' sha256:': {ln!r}")
             recorded[name] = digest
         elif ln.startswith("numerics: "):
-            numerics = int(ln[len("numerics: "):])
+            value = ln[len("numerics: "):]
+            if not value.isdecimal() or int(value) < 1:
+                raise ValueError(f"manifest line {lineno}: numerics must be "
+                                 f"an integer >= 1: {ln!r}")
+            numerics = int(value)
     if not config_lines:
         raise ValueError("manifest carries no config block")
     if not recorded:
@@ -685,15 +679,10 @@ def main(argv=None):
             return 0
 
         cfg = parse_config(Path(args.config).read_text())
-        if cfg.study != args.command:
-            cfg = replace(cfg, study=args.command)
-            _validate_config(cfg)
-        for attr, key in (("seed", "seed"), ("workers", "workers"),
-                          ("mesh_level", "mesh_level"),
-                          ("replicates", "replicates")):
-            val = getattr(args, attr, None)
-            if val is not None:
-                cfg = replace(cfg, **{key: val})
+        overrides = {key: val
+                     for key in ("seed", "workers", "mesh_level", "replicates")
+                     if (val := getattr(args, key)) is not None}
+        cfg = replace(cfg, study=args.command, **overrides)
         _validate_config(cfg)
         result = run_study(cfg, out_dir=args.out)
         for name, ok in sorted(result.checks.items()):

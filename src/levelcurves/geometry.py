@@ -45,7 +45,6 @@ __all__ = [
     "kac_rice_mean",
     "epsilon_length",
     "boundary_functional",
-    "write_lengths_csv",
 ]
 
 _EXACT_HIT_NUDGE = 1e-12  # symbolic perturbation for values exactly at u
@@ -290,17 +289,3 @@ def boundary_functional(ensemble, basis, u):
         per_step_lengths=lengths,
         perturbed_vertices=n_pert,
     )
-
-
-def write_lengths_csv(path, samples, replicate_ids=None):
-    """Per-replicate length paths as CSV rows (replicate, k, t, length)."""
-    if replicate_ids is None:
-        replicate_ids = range(len(samples))
-    with open(path, "w") as fh:
-        fh.write("replicate,k,t,length\n")
-        for rid, sample in zip(replicate_ids, samples):
-            dt = sample.horizon / (len(sample.per_step_lengths) - 1)
-            for k, val in enumerate(sample.per_step_lengths):
-                fh.write(
-                    f"{rid},{k},{format(k * dt, '.17g')},{format(val, '.17g')}\n"
-                )

@@ -50,7 +50,6 @@ from .synthesis import HarmonicBasis, TimeGrid, build_icosphere, \
 __all__ = [
     "RosenblattSampler",
     "sample_rosenblatt",
-    "sample_composite_rosenblatt",
     "rosenblatt_scale_constant",
     "v_star",
     "composite_reference_samples",
@@ -155,19 +154,6 @@ def sample_rosenblatt(sampler, count, seed):
                 out[2 * start + offset:2 * (start + b):2] = \
                     (sq[:b].sum(axis=1) - n) / sd
     return out[:count]
-
-
-def sample_composite_rosenblatt(coeffs, beta, count, seed, n_inner=2**16,
-                                burn_factor=4):
-    """Weighted sum sum_k c_k X_k of independent standard Rosenblatt
-    draws of common parameter beta."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.size < 1:
-        raise ValueError("need at least one mixture coefficient")
-    sampler = RosenblattSampler(beta=beta, n_inner=n_inner,
-                                burn_factor=burn_factor)
-    draws = sample_rosenblatt(sampler, count * coeffs.size, seed)
-    return draws.reshape(coeffs.size, count).T @ coeffs
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Classical special functions shared by every other module.
 
-Legendre polynomials with first and second derivatives, orthonormal real
-spherical harmonics (with colatitude / longitude derivatives), probabilists'
-Hermite polynomials, and the standard Gaussian density.
+Tables of Legendre polynomials with first and second derivatives, columns
+of orthonormal real spherical harmonics (with colatitude / longitude
+derivatives), tables of probabilists' Hermite polynomials, and the
+standard Gaussian density.
 
 Everything is evaluated through upward three-term recurrences, which are
 stable for the degree range this package targets (ell up to a few hundred).
@@ -14,17 +15,12 @@ recurrence coefficients so no factorial is ever formed explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "LegendreEval",
-    "legendre",
     "legendre_table",
-    "real_spherical_harmonic",
     "harmonic_columns",
-    "hermite",
     "hermite_rows",
     "gaussian_density",
 ]
@@ -33,16 +29,6 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Legendre polynomials
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LegendreEval:
-    """P_ell at a point together with d/d_eta and d^2/d_eta^2."""
-
-    ell: int
-    value: float
-    first_deriv: float
-    second_deriv: float
-
 
 def legendre_table(ell_max, eta):
     """P_ell(eta), P'_ell(eta), P''_ell(eta) for all ell <= ell_max.
@@ -71,17 +57,6 @@ def legendre_table(ell_max, eta):
         dp[l + 1] = dp[l - 1] + (2 * l + 1) * p[l]
         d2p[l + 1] = d2p[l - 1] + (2 * l + 1) * dp[l]
     return p, dp, d2p
-
-
-def legendre(ell, eta):
-    """Evaluate P_ell and its first two eta-derivatives at a scalar point."""
-    ell = int(ell)
-    if ell < 0:
-        raise ValueError("degree ell must be >= 0")
-    if abs(eta) > 1.0:
-        raise ValueError(f"eta = {eta} outside [-1, 1]")
-    p, dp, d2p = legendre_table(ell, float(eta))
-    return LegendreEval(ell, float(p[ell]), float(dp[ell]), float(d2p[ell]))
 
 
 # ----------------------------------------------------------------------
@@ -194,25 +169,6 @@ def harmonic_columns(ells, theta, phi, derivatives=False):
     return labels, y
 
 
-def real_spherical_harmonic(ell, m, theta, phi):
-    """Orthonormal real spherical harmonic Y_(ell, m) at a point."""
-    ell = int(ell)
-    m = int(m)
-    if ell < 0 or abs(m) > ell:
-        raise ValueError(f"invalid degree/order (ell={ell}, m={m})")
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError("theta must lie in [0, pi]")
-    at_pole = theta == 0.0 or theta == math.pi
-    if m != 0 and at_pole:
-        return 0.0  # harmonics with m != 0 vanish exactly at the poles
-    if at_pole:
-        # poles: Ptilde_(l,0)(+-1) = sqrt((2l+1)/4pi) (+-1)^l
-        sign = 1.0 if (theta == 0.0 or ell % 2 == 0) else -1.0
-        return sign * math.sqrt((2 * ell + 1) / (4.0 * math.pi))
-    _, y = harmonic_columns([ell], [theta], [phi])
-    return float(y[0, m + ell])
-
-
 # ----------------------------------------------------------------------
 # Hermite polynomials (probabilists') and the Gaussian density
 # ----------------------------------------------------------------------
@@ -230,14 +186,6 @@ def hermite_rows(q_max, u):
     for q in range(1, q_max):
         h[q + 1] = u * h[q] - q * h[q - 1]
     return h
-
-
-def hermite(q, u):
-    """Probabilists' Hermite polynomial H_q(u); u scalar or array."""
-    q = int(q)
-    rows = hermite_rows(q, u)
-    out = rows[q]
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def gaussian_density(u):

@@ -102,16 +102,6 @@ class PowerSpectrum:
     def sigma1_sq(self):
         return sigma1_sq(self)
 
-    def fingerprint(self):
-        """Stable text form used for hashing in manifests and dump headers."""
-        parts = []
-        for e in self.entries:
-            a = "-" if e.alpha is None else format(e.alpha, ".17g")
-            parts.append(
-                f"{e.ell}:{format(e.c0, '.17g')}:{format(e.beta, '.17g')}:{a}"
-            )
-        return ";".join(parts)
-
 
 def make_spectrum(entries, normalize=True, require_monopole=True):
     """Validate entries, optionally rescale to unit field variance.

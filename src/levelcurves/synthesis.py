@@ -20,10 +20,8 @@ the chaos projections, use an exact product cubature instead.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import operator
-import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -44,10 +42,7 @@ __all__ = [
     "measure_replicate",
     "FieldSlice",
     "synthesize_slice",
-    "synthesize_multipole_slice",
     "synthesize_values",
-    "save_ensemble",
-    "load_ensemble",
 ]
 
 
@@ -324,7 +319,6 @@ class CoefficientEnsemble:
     grid: TimeGrid
     coeffs: np.ndarray
     labels: tuple
-    seed_entropy: int
     clipped_eigenvalues: int = 0
     embedding_doublings: int = 0
 
@@ -397,7 +391,6 @@ def sample_time_processes(spectrum, grid, seed):
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(int(seed))
     rng = np.random.Generator(np.random.PCG64(ss))
-    entropy = ss.entropy if isinstance(ss.entropy, int) else -1
 
     labels = tuple((e.ell, m) for e in spectrum.entries
                    for m in range(-e.ell, e.ell + 1))
@@ -433,7 +426,6 @@ def sample_time_processes(spectrum, grid, seed):
         grid=grid,
         coeffs=coeffs,
         labels=labels,
-        seed_entropy=entropy,
         clipped_eigenvalues=clipped,
         embedding_doublings=doublings,
     )
@@ -473,85 +465,8 @@ def synthesize_slice(ensemble, basis, k, with_gradient=True):
     return FieldSlice(values, d1 @ a, d2 @ a, k)
 
 
-def synthesize_multipole_slice(ensemble, basis, ell, k, normalized=False,
-                               with_gradient=True):
-    """Single-degree component Z_ell(., t_k); ``normalized=True`` rescales
-    to the unit-variance version Z_ell / sqrt((2 ell + 1) C_ell(0) / 4 pi)."""
-    entry = ensemble.spectrum.entry(int(ell))
-    if entry is None:
-        raise ValueError(f"ell={ell} not present in the spectrum")
-    cols = basis.columns_for(int(ell))
-    rows = ensemble.rows_for(int(ell))
-    a = ensemble.coeffs[rows, k]
-    scale = 1.0
-    if normalized:
-        scale = 1.0 / math.sqrt((2 * entry.ell + 1) * entry.c0 / (4 * math.pi))
-    values = (basis.y[:, cols] @ a) * scale
-    if not with_gradient:
-        return FieldSlice(values, None, None, k)
-    d1, d2 = basis.dy
-    return FieldSlice(values, (d1[:, cols] @ a) * scale,
-                      (d2[:, cols] @ a) * scale, k)
-
-
 def synthesize_values(ensemble, basis, time_slice=slice(None)):
     """Values for a block of time steps as a (V, S) matrix (no gradients);
     the workhorse for study loops that only need lengths."""
     return basis.y @ ensemble.coeffs[:, time_slice]
 
-
-# ----------------------------------------------------------------------
-# Binary ensemble dump (versioned, little-endian)
-# ----------------------------------------------------------------------
-
-_MAGIC = b"LVCENS01"
-
-
-def save_ensemble(path, ensemble):
-    """Write a versioned binary dump: magic, spectrum hash, grid, seed,
-    then the row-major float64 coefficient array (little-endian)."""
-    spec_hash = hashlib.sha256(
-        ensemble.spectrum.fingerprint().encode()
-    ).digest()[:16]
-    header = struct.pack(
-        "<8s16sdqqqq",
-        _MAGIC,
-        spec_hash,
-        float(ensemble.grid.dt),
-        int(ensemble.grid.n_steps),
-        int(ensemble.seed_entropy if ensemble.seed_entropy >= 0 else 0),
-        int(ensemble.coeffs.shape[0]),
-        int(ensemble.coeffs.shape[1]),
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(ensemble.coeffs, dtype="<f8").tobytes())
-
-
-def load_ensemble(path, spectrum):
-    """Read a dump written by :func:`save_ensemble`; the spectrum must hash
-    to the stored fingerprint."""
-    with open(path, "rb") as fh:
-        header = fh.read(struct.calcsize("<8s16sdqqqq"))
-        magic, spec_hash, dt, n_steps, seed, n_rows, n_cols = struct.unpack(
-            "<8s16sdqqqq", header
-        )
-        if magic != _MAGIC:
-            raise ValueError("not a levelcurves ensemble dump")
-        want = hashlib.sha256(spectrum.fingerprint().encode()).digest()[:16]
-        if spec_hash != want:
-            raise ValueError("spectrum fingerprint does not match the dump")
-        coeffs = np.frombuffer(
-            fh.read(8 * n_rows * n_cols), dtype="<f8"
-        ).reshape(n_rows, n_cols).copy()
-    grid = TimeGrid(dt=dt, n_steps=n_steps)
-    labels = tuple(
-        (e.ell, m) for e in spectrum.entries for m in range(-e.ell, e.ell + 1)
-    )
-    if len(labels) != n_rows:
-        raise ValueError("coefficient row count does not match the spectrum")
-    coeffs.flags.writeable = False
-    return CoefficientEnsemble(
-        spectrum=spectrum, grid=grid, coeffs=coeffs, labels=labels,
-        seed_entropy=seed,
-    )

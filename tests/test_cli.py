@@ -1,5 +1,8 @@
 import hashlib
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +16,6 @@ from levelcurves.cli import (
     RunConfig,
     StudyResult,
     build_parser,
-    emit_plot_data,
     main,
     parse_config,
     render_config,
@@ -268,6 +270,22 @@ WORKER_CFGS = {
 }
 
 
+def test_mean_length_dump_names_each_rows_level():
+    cfg = parse_config(WORKER_CFGS["mean-length"].replace(
+        "replicates = 6", "replicates = 3") + "dump_lengths = true\n")
+    res = run_study(cfg)
+    lines = res.tables["lengths.csv"].splitlines()
+    assert lines[1] == "replicate,u,length"
+    rows = [ln.split(",") for ln in lines[2:]]
+    assert [(r, u) for r, u, _ in rows] \
+        == [(str(r), u) for r in range(3) for u in ("0", "0.5")]
+    means = [ln.split(",") for ln in
+             res.tables["mean_length.csv"].splitlines()[2:]]
+    for u, _, mean, *_ in means:
+        lengths = [float(x) for _, v, x in rows if v == u]
+        assert np.mean(lengths) == pytest.approx(float(mean), rel=1e-13)
+
+
 def test_workers_do_not_change_bytes():
     # workers > 1 pickles each study's replicate kernel into the pool
     for name, text in WORKER_CFGS.items():
@@ -300,13 +318,11 @@ def test_replay_detects_tampering(tmp_path):
         replay(tmp_path / "tables" / "mean_length.csv", tmp_path / "x")
 
 
-def test_emit_plot_data(tmp_path):
-    cfg = parse_config(BERRY_CFG)
-    res = run_study(cfg)
-    written = emit_plot_data(res, tmp_path)
-    names = sorted(p.name for p in written)
-    assert names == ["fig_berry.csv"]
-    text = (tmp_path / "fig_berry.csv").read_text()
+def test_berry_study_writes_its_figure_table(tmp_path):
+    run_study(parse_config(BERRY_CFG), out_dir=tmp_path)
+    tables = tmp_path / "tables"
+    assert sorted(p.name for p in tables.glob("fig_*.csv")) == ["fig_berry.csv"]
+    text = (tables / "fig_berry.csv").read_text()
     assert "# predicted_cancellation" in text
     assert text.splitlines()[2] == "u,variance,long_constant"
 
@@ -377,14 +393,49 @@ def test_main_replay(tmp_path, capsys):
     assert "replay: byte-identical" in out
 
 
+def test_main_applies_study_and_overrides_before_validating(tmp_path,
+                                                           capsys):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(MEAN_CFG)
+    assert main(["mean-length", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out"), "--seed", "9",
+                 "--mesh-level", "2", "--replicates", "5",
+                 "--workers", "1"]) in (0, 2)
+    manifest = (tmp_path / "out" / "manifest.txt").read_text()
+    for line in ("|seed = 9", "|mesh_level = 2", "|replicates = 5"):
+        assert line in manifest.splitlines()
+    # a mean-length config lacks what berry-profile needs
+    assert main(["berry-profile", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o2")]) == 1
+    assert "requires key 'horizon'" in capsys.readouterr().err
+    assert main(["mean-length", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o3"), "--replicates", "1"]) == 1
+    assert "key 'replicates' must be >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "o2").exists() and not (tmp_path / "o3").exists()
+
+
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])
 
 
 # ----------------------------------------------------------------------
-# Cold start
+# Public surface and cold start
 # ----------------------------------------------------------------------
+
+def test_every_exported_name_is_defined_in_its_module():
+    # a stale __all__ entry would otherwise drop out of the benchmark's
+    # tracer silently
+    for info in pkgutil.iter_modules(levelcurves.__path__):
+        mod = importlib.import_module(f"levelcurves.{info.name}")
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"{mod.__name__}.{name}"
+            obj = getattr(mod, name)
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                assert obj.__module__ == mod.__name__, f"{mod.__name__}.{name}"
+            else:   # the regime labels of spectrum
+                assert isinstance(obj, str), f"{mod.__name__}.{name}"
+
 
 _SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
@@ -447,12 +498,12 @@ def test_chaos_audit_study_loads_no_numpy_polynomial(tmp_path):
 
 # Manifests of small configs of every study, written before the manifest
 # carried a numerics line (every study at numerics 1; chaos-audit then
-# projected on the mesh).
+# projected on the mesh, and mean-length's lengths.csv had no level column).
 NUMERICS1 = Path(__file__).parent / "data" / "numerics1"
 
 
-@pytest.mark.parametrize("study", ["mean-length", "variance-scaling",
-                                   "berry-profile", "limit-law"])
+@pytest.mark.parametrize("study", ["variance-scaling", "berry-profile",
+                                   "limit-law"])
 def test_numerics1_manifests_of_unchanged_studies_replay_identical(
         tmp_path, capsys, study):
     assert NUMERICS[study] == 1
@@ -482,6 +533,19 @@ def test_numerics1_chaos_audit_manifest_is_superseded(tmp_path, capsys):
     assert "numerics: 2" in redo.read_text()
     assert main(["replay", "--manifest", str(redo),
                  "--out", str(tmp_path / "redo3")]) == 0
+
+
+def test_numerics1_mean_length_manifest_is_superseded(tmp_path, capsys):
+    # numerics 2 changed only lengths.csv, which this manifest did not ask for
+    manifest = NUMERICS1 / "mean-length.txt"
+    report = replay(manifest, tmp_path / "redo")
+    assert report.recorded_numerics == 1 and report.superseded
+    assert report.tables == {"mean_length.csv": "identical"}
+    assert main(["replay", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "redo2")]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["replay: superseded (numerics 1 → 2)",
+                   "replay mean_length.csv: identical"]
 
 
 def _manifest(tmp_path, cfg_text):
@@ -540,6 +604,30 @@ def test_replay_of_a_tampered_table_at_current_numerics_exits_2(tmp_path,
 def test_replay_rejects_a_newer_numerics_version(tmp_path):
     path = _manifest(tmp_path, MEAN_CFG.replace("replicates = 60",
                                                 "replicates = 4"))
-    path.write_text(path.read_text().replace("numerics: 1", "numerics: 2"))
-    with pytest.raises(ValueError, match="numerics 2 is newer"):
+    now = NUMERICS["mean-length"]
+    path.write_text(path.read_text().replace(f"numerics: {now}",
+                                             f"numerics: {now + 1}"))
+    with pytest.raises(ValueError, match=f"numerics {now + 1} is newer"):
         replay(path, tmp_path / "redo")
+
+
+def test_replay_rejects_a_numerics_below_one(tmp_path, capsys):
+    path = _manifest(tmp_path, WORKER_CFGS["chaos-audit"])
+    path.write_text(path.read_text().replace("numerics: 2", "numerics: 0"))
+    with pytest.raises(ValueError, match="manifest line 4: numerics must be"):
+        replay(path, tmp_path / "redo")
+    assert main(["replay", "--manifest", str(path),
+                 "--out", str(tmp_path / "redo")]) == 1
+    assert "manifest line 4" in capsys.readouterr().err
+
+
+def test_replay_rejects_a_table_line_without_digest(tmp_path, capsys):
+    path = _manifest(tmp_path, WORKER_CFGS["chaos-audit"])
+    _edit(path, extra=["table: projections.csv"])
+    lineno = path.read_text().splitlines().index("table: projections.csv") + 1
+    with pytest.raises(ValueError, match=f"manifest line {lineno}: table "
+                                         "line without ' sha256:'"):
+        replay(path, tmp_path / "redo")
+    assert main(["replay", "--manifest", str(path),
+                 "--out", str(tmp_path / "redo")]) == 1
+    assert f"manifest line {lineno}" in capsys.readouterr().err

@@ -15,7 +15,6 @@ from levelcurves.geometry import (
     extract_level_curves,
     isoline_lengths,
     kac_rice_mean,
-    write_lengths_csv,
 )
 from levelcurves.spectrum import MultipoleEntry, make_spectrum
 from levelcurves.synthesis import (
@@ -486,18 +485,3 @@ def test_marching_blocks_change_no_bit(level, n_steps, per_block, u, hit,
     assert np.array_equal(sample.per_step_lengths, whole)
     assert sample.perturbed_vertices == n_pert
 
-
-def test_write_lengths_csv(tmp_path, mesh3):
-    grid = TimeGrid(0.5, 5)
-    basis = HarmonicBasis(mesh3, SPEC.ells)
-    samples = []
-    for s in np.random.SeedSequence(222).spawn(2):
-        ens = sample_time_processes(SPEC, grid, s)
-        samples.append(boundary_functional(ens, basis, 0.0))
-    path = tmp_path / "lengths.csv"
-    write_lengths_csv(path, samples)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "replicate,k,t,length"
-    assert len(lines) == 1 + 2 * grid.n_steps
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[1] == "0"

@@ -16,7 +16,6 @@ from levelcurves.limits import (
     fit_variance_scaling,
     limit_law_report,
     rosenblatt_scale_constant,
-    sample_composite_rosenblatt,
     sample_rosenblatt,
     v_star,
 )
@@ -157,27 +156,6 @@ def test_rosenblatt_generator_error_reaches_caller(monkeypatch, fail_at):
     monkeypatch.undo()
     sample_rosenblatt(sampler, 8 * _batch(sampler), 1)
     assert threading.active_count() == baseline
-
-
-def test_composite_single_term_matches_standard():
-    n = 5000
-    x = sample_rosenblatt(RosenblattSampler(beta=0.3, n_inner=2**12), n, 31)
-    v = sample_composite_rosenblatt([1.0], 0.3, n, 37, n_inner=2**12)
-    ks = stats.ks_2samp(x, v)
-    assert ks.pvalue > 0.01
-
-
-def test_composite_moments():
-    n = 6000
-    for n_terms in (1, 3, 5):
-        v = sample_composite_rosenblatt(
-            np.ones(n_terms), 0.3, n, 43, n_inner=2**11)
-        se_mean = v.std(ddof=1) / math.sqrt(n)
-        assert abs(v.mean()) < 4 * se_mean
-        se_var = _moment_se(v - v.mean(), 2)
-        assert abs(v.var(ddof=1) - n_terms) < 4 * se_var
-    with pytest.raises(ValueError):
-        sample_composite_rosenblatt([], 0.3, 10, 1)
 
 
 def test_reference_mixture_variance_matches_v_star():

@@ -7,14 +7,22 @@ from scipy import integrate
 from levelcurves.special import (
     gaussian_density,
     harmonic_columns,
-    hermite,
     hermite_rows,
-    legendre,
     legendre_table,
-    real_spherical_harmonic,
 )
 
 RNG = np.random.default_rng(2024)
+
+
+def _legendre(l, eta):
+    """(P_l, P'_l, P''_l) at a scalar eta."""
+    return tuple(float(t[l]) for t in legendre_table(l, eta))
+
+
+def _harmonic(l, m, th, ph):
+    """Y_(l, m) at one point."""
+    _, y = harmonic_columns([l], [th], [ph])
+    return float(y[0, m + l])
 
 
 # ----------------------------------------------------------------------
@@ -22,8 +30,8 @@ RNG = np.random.default_rng(2024)
 # ----------------------------------------------------------------------
 
 def test_legendre_endpoint_and_linear():
-    assert legendre(3, 1.0).value == pytest.approx(1.0, abs=1e-14)
-    assert legendre(1, 0.5).value == pytest.approx(0.5, abs=1e-15)
+    assert _legendre(3, 1.0)[0] == pytest.approx(1.0, abs=1e-14)
+    assert _legendre(1, 0.5)[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_legendre_unit_bound_and_endpoint_all_degrees():
@@ -62,13 +70,13 @@ def test_legendre_derivatives_match_finite_differences():
     h = 1e-3
     for l in (2, 5, 9, 12):
         for eta in (-0.8, -0.3, 0.2, 0.7):
-            vals = [legendre(l, eta + k * h).value for k in (-2, -1, 0, 1, 2)]
+            vals = [_legendre(l, eta + k * h)[0] for k in (-2, -1, 0, 1, 2)]
             fd1 = (vals[0] - 8 * vals[1] + 8 * vals[3] - vals[4]) / (12 * h)
             fd2 = (-vals[0] + 16 * vals[1] - 30 * vals[2] + 16 * vals[3]
                    - vals[4]) / (12 * h * h)
-            ev = legendre(l, eta)
-            assert ev.first_deriv == pytest.approx(fd1, abs=1e-6)
-            assert ev.second_deriv == pytest.approx(fd2, abs=1e-6)
+            _, d1, d2 = _legendre(l, eta)
+            assert d1 == pytest.approx(fd1, abs=1e-6)
+            assert d2 == pytest.approx(fd2, abs=1e-6)
 
 
 def test_legendre_derivatives_match_polynomial_oracle():
@@ -84,18 +92,18 @@ def test_legendre_derivatives_match_polynomial_oracle():
 def test_legendre_derivatives_finite_at_endpoints():
     for l in (1, 4, 11):
         for eta in (-1.0, 1.0):
-            ev = legendre(l, eta)
-            assert np.isfinite(ev.first_deriv)
-            assert np.isfinite(ev.second_deriv)
+            _, d1, d2 = _legendre(l, eta)
+            assert np.isfinite(d1)
+            assert np.isfinite(d2)
     # exact endpoint value P'_l(1) = l (l + 1) / 2
-    assert legendre(6, 1.0).first_deriv == pytest.approx(21.0, rel=1e-12)
+    assert _legendre(6, 1.0)[1] == pytest.approx(21.0, rel=1e-12)
 
 
 def test_legendre_domain_errors():
     with pytest.raises(ValueError):
-        legendre(3, 1.5)
+        legendre_table(3, 1.5)
     with pytest.raises(ValueError):
-        legendre(-1, 0.0)
+        legendre_table(-1, 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -103,13 +111,13 @@ def test_legendre_domain_errors():
 # ----------------------------------------------------------------------
 
 def test_harmonic_constant_mode():
-    assert real_spherical_harmonic(0, 0, 0.7, 4.1) == pytest.approx(
+    assert _harmonic(0, 0, 0.7, 4.1) == pytest.approx(
         1.0 / math.sqrt(4 * math.pi), abs=1e-15)
 
 
 def test_harmonic_sum_of_squares_addition_theorem_at_point():
     th, ph = 1.1, 2.4
-    total = sum(real_spherical_harmonic(2, m, th, ph) ** 2 for m in range(-2, 3))
+    total = sum(_harmonic(2, m, th, ph) ** 2 for m in range(-2, 3))
     assert total == pytest.approx(5.0 / (4 * math.pi), rel=1e-12)
 
 
@@ -125,7 +133,7 @@ def test_addition_theorem_random_pairs():
         _, yx = harmonic_columns([l], [th1], [ph1])
         _, yy = harmonic_columns([l], [th2], [ph2])
         lhs = float(yx[0] @ yy[0])
-        rhs = (2 * l + 1) / (4 * math.pi) * legendre(l, float(x @ y)).value
+        rhs = (2 * l + 1) / (4 * math.pi) * _legendre(l, float(x @ y))[0]
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -142,12 +150,13 @@ def test_harmonic_mesh_orthonormality(mesh5):
 
 
 def test_harmonic_poles_and_domain():
-    assert real_spherical_harmonic(3, 2, 0.0, 1.0) == 0.0
-    assert real_spherical_harmonic(3, 1, math.pi, 1.0) == 0.0
+    # at the north pole sin theta = 0 exactly: the columns with m != 0
+    # vanish and Y_(l, 0) = sqrt((2l + 1) / 4 pi)
+    _, y = harmonic_columns([3], [0.0], [1.0])
+    assert np.all(y[0, [0, 1, 2, 4, 5, 6]] == 0.0)
+    assert y[0, 3] == pytest.approx(math.sqrt(7 / (4 * math.pi)), rel=1e-14)
     with pytest.raises(ValueError):
-        real_spherical_harmonic(2, 3, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        real_spherical_harmonic(-1, 0, 1.0, 1.0)
+        harmonic_columns([-1], [1.0], [1.0])
 
 
 def test_harmonic_gradient_matches_finite_differences():
@@ -156,10 +165,10 @@ def test_harmonic_gradient_matches_finite_differences():
         th, ph = 1.0, 2.2
         _, _, d1, d2 = harmonic_columns([l], [th], [ph], derivatives=True)
         col = m + l
-        fd_th = (real_spherical_harmonic(l, m, th + h, ph)
-                 - real_spherical_harmonic(l, m, th - h, ph)) / (2 * h)
-        fd_ph = (real_spherical_harmonic(l, m, th, ph + h)
-                 - real_spherical_harmonic(l, m, th, ph - h)) / (2 * h)
+        fd_th = (_harmonic(l, m, th + h, ph)
+                 - _harmonic(l, m, th - h, ph)) / (2 * h)
+        fd_ph = (_harmonic(l, m, th, ph + h)
+                 - _harmonic(l, m, th, ph - h)) / (2 * h)
         assert d1[0, col] == pytest.approx(fd_th, abs=1e-7)
         assert d2[0, col] == pytest.approx(fd_ph / math.sin(th), abs=1e-7)
 
@@ -170,13 +179,14 @@ def test_harmonic_gradient_matches_finite_differences():
 
 def test_hermite_first_polynomials():
     u = np.linspace(-3, 3, 13)
-    assert np.allclose(hermite(0, u), 1.0)
-    assert np.allclose(hermite(1, u), u)
-    assert np.allclose(hermite(2, u), u * u - 1)
-    assert np.allclose(hermite(3, u), u**3 - 3 * u)
-    assert hermite(2, 1.5) == pytest.approx(1.25, abs=1e-14)
-    assert hermite(3, 2.0) == pytest.approx(2.0, abs=1e-14)
-    assert hermite(0, 7.3) == 1.0
+    h = hermite_rows(3, u)
+    assert np.allclose(h[0], 1.0)
+    assert np.allclose(h[1], u)
+    assert np.allclose(h[2], u * u - 1)
+    assert np.allclose(h[3], u**3 - 3 * u)
+    assert hermite_rows(2, 1.5)[2] == pytest.approx(1.25, abs=1e-14)
+    assert hermite_rows(3, 2.0)[3] == pytest.approx(2.0, abs=1e-14)
+    assert hermite_rows(0, 7.3)[0] == 1.0
 
 
 def test_hermite_recurrence_relative_residual():

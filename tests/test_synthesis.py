@@ -17,11 +17,8 @@ from levelcurves.synthesis import (
     _pole_dodge_rotation,
     _spherical_triangle_areas,
     build_icosphere,
-    load_ensemble,
     sample_time_processes,
-    save_ensemble,
     sphere_cubature,
-    synthesize_multipole_slice,
     synthesize_slice,
     synthesize_values,
 )
@@ -402,11 +399,10 @@ def test_multipole_slice_parseval(mesh5):
     grid = TimeGrid(0.5, 3)
     ens = sample_time_processes(spec, grid, 31)
     for ell in (4, 8):
+        cols, rows = basis.columns_for(ell), ens.rows_for(ell)
         for k in range(grid.n_steps):
-            sl = synthesize_multipole_slice(ens, basis, ell, k,
-                                            with_gradient=False)
-            quad = float(mesh5.vertex_weights @ sl.values**2)
-            rows = ens.rows_for(ell)
+            z_ell = basis.y[:, cols] @ ens.coeffs[rows, k]
+            quad = float(mesh5.vertex_weights @ z_ell**2)
             chat = (ens.coeffs[rows, k] ** 2).mean()
             assert quad == pytest.approx((2 * ell + 1) * chat, rel=1e-3)
 
@@ -416,12 +412,14 @@ def test_multipole_slice_normalized_variance(mesh3):
     basis = HarmonicBasis(mesh3, spec.ells)
     grid = TimeGrid(1.0, 2)
     reps = 6000
+    cols = basis.columns_for(2)
+    # unit-variance Z_2 / sqrt((2 ell + 1) C_2(0) / 4 pi)
+    scale = 1.0 / math.sqrt(5 * spec.entry(2).c0 / (4 * math.pi))
     acc = np.empty(reps)
     for i, s in enumerate(np.random.SeedSequence(1234).spawn(reps)):
         ens = sample_time_processes(spec, grid, s)
-        sl = synthesize_multipole_slice(ens, basis, 2, 0, normalized=True,
-                                        with_gradient=False)
-        acc[i] = np.mean(sl.values**2)
+        z_2 = (basis.y[:, cols] @ ens.coeffs[ens.rows_for(2), 0]) * scale
+        acc[i] = np.mean(z_2**2)
     se = acc.std(ddof=1) / math.sqrt(reps)
     assert abs(acc.mean() - 1.0) <= max(0.03, 4 * se)
     assert abs(acc.mean() - 1.0) <= 0.03
@@ -463,10 +461,11 @@ def test_multipole_slice_solves_helmholtz(mesh6):
     grid = TimeGrid(1.0, 2)
     ens = sample_time_processes(spec, grid, 8)
     for ell in (2, 4):
-        sl = synthesize_multipole_slice(ens, basis, ell, 0, with_gradient=False)
+        z_ell = basis.y[:, basis.columns_for(ell)] \
+            @ ens.coeffs[ens.rows_for(ell), 0]
         lam = ell * (ell + 1)
-        resid = lap @ sl.values + lam * sl.values
-        assert np.linalg.norm(resid) < 0.05 * lam * np.linalg.norm(sl.values)
+        resid = lap @ z_ell + lam * z_ell
+        assert np.linalg.norm(resid) < 0.05 * lam * np.linalg.norm(z_ell)
 
 
 # ----------------------------------------------------------------------
@@ -521,20 +520,3 @@ def test_time_stationarity_no_variance_trend(mesh3):
     t_stat = np.mean(slopes) / (np.std(slopes, ddof=1) / math.sqrt(reps))
     assert abs(t_stat) < 4
 
-
-# ----------------------------------------------------------------------
-# Persistence
-# ----------------------------------------------------------------------
-
-def test_ensemble_dump_round_trip(tmp_path):
-    grid = TimeGrid(0.5, 17)
-    ens = sample_time_processes(SPEC, grid, 2024)
-    path = tmp_path / "ens.bin"
-    save_ensemble(path, ens)
-    back = load_ensemble(path, SPEC)
-    assert np.array_equal(back.coeffs, ens.coeffs)
-    assert back.grid == ens.grid
-    assert back.labels == ens.labels
-    other = spec_from_fractions({0: (0.5, 1.0, 2.0), 1: (0.5, 0.4, None)})
-    with pytest.raises(ValueError, match="fingerprint"):
-        load_ensemble(path, other)
