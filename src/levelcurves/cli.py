@@ -7,6 +7,12 @@ study is a pure function of (config, seed): reruns are byte-identical,
 including with multiple workers, because replicate reduction is fixed in
 replicate order.
 
+One ordered table, ``_KEYS``, gives each top-level key its parser, range
+check and place in the canonical text; ``_REQUIRES`` names the keys each
+study needs.  Parsing scans the text, then validates once, after the
+subcommand's study and the ``--seed``, ``--workers``, ``--mesh-level``
+and ``--replicates`` flags have replaced the file's keys.
+
 Subcommands: mean-length, variance-scaling, berry-profile, limit-law,
 chaos-audit, replay.  Exit status: 0 when every invoked check passes
 (for replay: every recorded table is byte-identical), 2 when a check
@@ -22,7 +28,7 @@ import hashlib
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -36,8 +42,7 @@ from .chaos import (
 )
 from .geometry import isoline_lengths, kac_rice_mean
 from .limits import berry_profile, fit_variance_scaling, limit_law_report
-from .spectrum import MultipoleEntry, classify_regime, make_spectrum, \
-    spectrum_to_text
+from .spectrum import MultipoleEntry, classify_regime, make_spectrum
 from .synthesis import HarmonicBasis, TimeGrid, build_icosphere, \
     measure_replicate, sphere_cubature
 
@@ -72,56 +77,58 @@ class RunConfig:
     dump_lengths: bool = False
 
 
-_SCALAR_KEYS = {
-    "study": str,
-    "seed": int,
-    "replicates": int,
-    "dt": float,
-    "mesh_level": int,
-    "workers": int,
-    "horizon": float,
-    "level": float,
-    "functional": str,
-    "q_max": int,
-    "ks_alpha": float,
-    "reference_size": int,
-    "rosenblatt_n_inner": int,
-    "dump_lengths": bool,
-    "normalize": bool,
+def _bool(text):
+    return {"true": True, "yes": True, "1": True,
+            "false": False, "no": False, "0": False}[text.lower()]
+
+
+def _numbers(text):
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+def _positive(x):
+    return 0 < x < math.inf
+
+
+# study -> the keys it requires; "a|b" asks for a or b
+_REQUIRES = {
+    "mean-length": ("level|u_grid",),
+    "variance-scaling": ("t_ladder",),
+    "berry-profile": ("horizon", "u_grid"),
+    "limit-law": ("horizon", "level"),
+    "chaos-audit": ("horizon", "level"),
 }
-_LIST_KEYS = {"t_ladder", "u_grid"}
+
+# top-level key -> (parser, what its type error expects, range check or
+# None, what its range error says the value must do), in canonical render
+# order.  A key that is no RunConfig field is a make_spectrum option.
+_KEYS = {
+    "study": (str, "str", _REQUIRES.__contains__,
+              f"name one of {tuple(_REQUIRES)}"),
+    "seed": (int, "int", lambda n: n >= 0, "be >= 0"),
+    "replicates": (int, "int", lambda n: n >= 2, "be >= 2"),
+    "dt": (float, "float", _positive, "be positive and finite"),
+    "mesh_level": (int, "int", lambda n: 0 <= n <= 8, "lie in [0, 8]"),
+    "workers": (int, "int", lambda n: n >= 1, "be >= 1"),
+    "horizon": (float, "float", _positive, "be positive and finite"),
+    "level": (float, "float", math.isfinite, "be finite"),
+    "functional": (str, "str", ("chaos2", "chaos1", "length").__contains__,
+                   "be chaos2, chaos1 or length"),
+    # chaos-audit checks the duality on order 2, so it projects at least 2
+    "q_max": (int, "int", lambda n: 2 <= n <= 12, "lie in [2, 12]"),
+    "ks_alpha": (float, "float", lambda a: 0 < a < 1, "lie in (0, 1)"),
+    "reference_size": (int, "int", lambda n: n >= 1, "be >= 1"),
+    "rosenblatt_n_inner": (int, "int", lambda n: n >= 16, "be >= 16"),
+    "dump_lengths": (_bool, "true/false", None, None),
+    "t_ladder": (_numbers, "a comma list of numbers",
+                 lambda ts: len(ts) >= 4 and all(map(_positive, ts)),
+                 "hold at least 4 horizons, each positive and finite"),
+    "u_grid": (_numbers, "a comma list of numbers",
+               lambda us: len(us) >= 1 and all(map(math.isfinite, us)),
+               "hold at least one level, each finite"),
+    "normalize": (_bool, "true/false", None, None),
+}
 _MULTIPOLE_KEYS = {"ell": int, "c0": float, "beta": float, "alpha": float}
-
-
-def _parse_bool(value, key, lineno):
-    v = value.strip().lower()
-    if v in ("true", "yes", "1"):
-        return True
-    if v in ("false", "no", "0"):
-        return False
-    raise ValueError(f"line {lineno}: key {key!r} expects true/false, got {value!r}")
-
-
-def _parse_value(key, value, lineno):
-    if key in _LIST_KEYS:
-        try:
-            return tuple(float(v) for v in value.split(",") if v.strip())
-        except ValueError:
-            raise ValueError(
-                f"line {lineno}: key {key!r} expects a comma list of "
-                f"numbers, got {value!r}"
-            ) from None
-    typ = _SCALAR_KEYS.get(key)
-    if typ is None:
-        raise ValueError(f"line {lineno}: unknown key {key!r}")
-    if typ is bool:
-        return _parse_bool(value, key, lineno)
-    try:
-        return typ(value)
-    except ValueError:
-        raise ValueError(
-            f"line {lineno}: key {key!r} expects {typ.__name__}, got {value!r}"
-        ) from None
 
 
 def _multipole_entry(start, block):
@@ -132,16 +139,10 @@ def _multipole_entry(start, block):
     return MultipoleEntry(**block)
 
 
-def parse_config(text):
-    """Parse and validate a study config in one pass; errors name key and
-    line.
-
-    Top-level ``key = value`` lines may come before, between or after the
-    ``[multipole]`` blocks.  A block holds the keys ell, c0, beta and (when
-    beta = 1) alpha, one spectrum entry; any other key ends it.  ``#``
-    starts a comment.
-    """
-    top = {}
+def _scan(text):
+    """Scan a config into its top-level keys, each parsed to its type, and
+    its spectrum; errors name key and line."""
+    keys = {}
     entries = []
     block = None            # (first line, keys) of the open [multipole]
     first_block = 0
@@ -168,83 +169,65 @@ def parse_config(text):
                 raise ValueError(f"line {lineno}: value for {key!r} is not "
                                  f"{what}: {value!r}") from None
             continue
-        top[key] = _parse_value(key, value, lineno)
+        if key not in _KEYS:
+            raise ValueError(f"line {lineno}: unknown key {key!r}")
+        parse, expects = _KEYS[key][:2]
+        try:
+            keys[key] = parse(value)
+        except (KeyError, ValueError):
+            raise ValueError(f"line {lineno}: key {key!r} expects {expects}, "
+                             f"got {value!r}") from None
         if block is not None:       # a top-level key ends the block
             entries.append(_multipole_entry(*block))
             block = None
     if block is not None:
         entries.append(_multipole_entry(*block))
 
-    if "study" not in top:
-        raise ValueError("config is missing the 'study' key")
-    if top["study"] not in STUDIES:
-        raise ValueError(
-            f"unknown study {top['study']!r}; expected one of {tuple(STUDIES)}"
-        )
     if not entries:
         raise ValueError("config has no [multipole] blocks")
+    options = {key: keys.pop(key)
+               for key in keys.keys() - {f.name for f in fields(RunConfig)}}
     try:
-        spectrum = make_spectrum(entries, normalize=top.pop("normalize", True))
+        spectrum = make_spectrum(entries, **options)
     except ValueError as exc:
         raise ValueError(
             f"spectrum (starting line {first_block}): {exc}"
         ) from None
-
-    cfg = RunConfig(spectrum=spectrum, **top)
-    _validate_config(cfg)
-    return cfg
-
-
-def _validate_config(cfg):
-    if cfg.replicates < 2:
-        raise ValueError("key 'replicates' must be >= 2")
-    if not 0 < cfg.dt < math.inf:
-        raise ValueError("key 'dt' must be positive and finite")
-    if not 0 <= cfg.mesh_level <= 8:
-        raise ValueError("key 'mesh_level' must lie in [0, 8]")
-    if cfg.workers < 1:
-        raise ValueError("key 'workers' must be >= 1")
-    if not 0 < cfg.ks_alpha < 1:
-        raise ValueError("key 'ks_alpha' must lie in (0, 1)")
-    if cfg.functional not in ("chaos2", "chaos1", "length"):
-        raise ValueError("key 'functional' must be chaos2, chaos1 or length")
-    if not 1 <= cfg.q_max <= 12:
-        raise ValueError("key 'q_max' must lie in [1, 12]")
-    if cfg.reference_size < 1:
-        raise ValueError("key 'reference_size' must be >= 1")
-    if cfg.rosenblatt_n_inner < 16:
-        raise ValueError("key 'rosenblatt_n_inner' must be >= 16")
-    need_horizon = cfg.study in ("berry-profile", "limit-law", "chaos-audit")
-    if need_horizon and cfg.horizon is None:
-        raise ValueError(f"study {cfg.study!r} requires key 'horizon'")
-    if cfg.horizon is not None and not 0 < cfg.horizon < math.inf:
-        raise ValueError("key 'horizon' must be positive and finite")
-    if cfg.study == "variance-scaling":
-        if cfg.t_ladder is None or len(cfg.t_ladder) < 4:
-            raise ValueError(
-                "study 'variance-scaling' requires key 't_ladder' with at "
-                "least 4 horizons"
-            )
-    if cfg.t_ladder is not None \
-            and not all(0 < t < math.inf for t in cfg.t_ladder):
-        raise ValueError("key 't_ladder' must hold positive finite horizons")
-    if cfg.level is not None and not math.isfinite(cfg.level):
-        raise ValueError("key 'level' must be finite")
-    if cfg.u_grid is not None and not cfg.u_grid:
-        raise ValueError("key 'u_grid' must hold at least one level")
-    if cfg.u_grid is not None \
-            and not all(math.isfinite(u) for u in cfg.u_grid):
-        raise ValueError("key 'u_grid' must hold finite levels")
-    if not cfg.spectrum.sigma1_sq > 0:
+    if not spectrum.sigma1_sq > 0:
         raise ValueError(
             "key 'ell': the spectrum needs a multipole with ell >= 1 and "
             "c0 > 0; with sigma1^2 = 0 the field has no level curves")
-    if cfg.study == "berry-profile" and cfg.u_grid is None:
-        raise ValueError("study 'berry-profile' requires key 'u_grid'")
-    if cfg.study in ("limit-law", "chaos-audit") and cfg.level is None:
-        raise ValueError(f"study {cfg.study!r} requires key 'level'")
-    if cfg.study == "mean-length" and cfg.level is None and cfg.u_grid is None:
-        raise ValueError("study 'mean-length' requires 'level' or 'u_grid'")
+    return keys, spectrum
+
+
+def _build(keys, spectrum):
+    """Check the keys against their table entries and their study's needs,
+    then build the RunConfig."""
+    study = keys.get("study")
+    if study is None:
+        raise ValueError("config is missing the 'study' key")
+    for key, (_, _, check, must) in _KEYS.items():
+        if key in keys and check is not None and not check(keys[key]):
+            raise ValueError(f"key {key!r} must {must}")
+    for need in _REQUIRES[study]:
+        alternatives = need.split("|")
+        if not any(key in keys for key in alternatives):
+            raise ValueError(f"study {study!r} requires key "
+                             + " or ".join(map(repr, alternatives)))
+    return RunConfig(spectrum=spectrum, **keys)
+
+
+def parse_config(text, **overrides):
+    """Parse and validate a study config; errors name key and line.
+
+    Top-level ``key = value`` lines may come before, between or after the
+    ``[multipole]`` blocks.  A block holds the keys ell, c0, beta and (when
+    beta = 1) alpha, one spectrum entry; any other key ends it.  ``#``
+    starts a comment.  ``overrides`` (key -> value) replace the file's keys
+    before the one validation pass.
+    """
+    keys, spectrum = _scan(text)
+    return _build(keys | overrides, spectrum)
 
 
 def _fmt(x):
@@ -252,26 +235,21 @@ def _fmt(x):
         return "true" if x else "false"
     if isinstance(x, float):
         return format(x, ".17g")
+    if isinstance(x, tuple):
+        return ", ".join(map(_fmt, x))
     return str(x)
 
 
 def render_config(cfg):
-    """Canonical text form; parse(render(cfg)) == cfg."""
-    lines = [f"study = {cfg.study}"]
-    for name in ("seed", "replicates", "dt", "mesh_level", "workers",
-                 "horizon", "level", "functional", "q_max", "ks_alpha",
-                 "reference_size", "rosenblatt_n_inner", "dump_lengths"):
-        val = getattr(cfg, name)
-        if val is None:
-            continue
-        lines.append(f"{name} = {_fmt(val)}")
-    for name in ("t_ladder", "u_grid"):
-        val = getattr(cfg, name)
-        if val is None:
-            continue
-        lines.append(f"{name} = {', '.join(_fmt(v) for v in val)}")
-    lines.append("normalize = false")  # rendered spectra are normalized
-    lines.append(spectrum_to_text(cfg.spectrum).rstrip("\n"))
+    """Canonical text form, keys in table order; parse(render(cfg)) == cfg.
+    Rendered spectra are normalized, so ``normalize``, the one key that is
+    no RunConfig field, renders false."""
+    lines = [f"{key} = {_fmt(val)}" for key in _KEYS
+             if (val := getattr(cfg, key, False)) is not None]
+    for entry in cfg.spectrum.entries:
+        lines.append("[multipole]")
+        lines += [f"{key} = {_fmt(val)}" for key in _MULTIPOLE_KEYS
+                  if (val := getattr(entry, key)) is not None]
     return "\n".join(lines) + "\n"
 
 
@@ -381,10 +359,6 @@ def _study_variance_scaling(cfg, config_hash):
     tables["scaling_fit.csv"] = _csv(
         ("fitted_exponent", "exponent_se", "expected_exponent"),
         summary_rows, config_hash)
-    tables["fig_scaling.csv"] = _csv(
-        ("log10_horizon", "log10_variance"), [r[3:] for r in rows],
-        config_hash, notes=(f"fitted_slope = {_fmt(fit.fitted_exponent)}",
-                            f"slope_se = {_fmt(fit.exponent_se)}"))
     return tables, checks
 
 
@@ -472,14 +446,14 @@ def _study_chaos_audit(cfg, config_hash):
         "projections.csv": _csv(("replicate", "method", "q", "value"),
                                 flat, config_hash)
     }
-    quad = {q: np.array([dict(((m, qq), v) for m, qq, v in r)[("quadrature", q)]
-                         for r in rows]) for q in orders}
-    spec2 = np.array([dict(((m, qq), v) for m, qq, v in r)[("spectral", 2)]
-                      for r in rows])
-    var_rows = [(q, quad[q].var(ddof=1)) for q in orders]
+    # one column per _audit_projections item: quadrature q = 1..q_max,
+    # then spectral q = 1 and q = 2
+    cols = np.array([[val for _, _, val in items] for items in rows]).T.copy()
+    var_rows = [(q, cols[q - 1].var(ddof=1)) for q in orders]
     tables["per_q_variance.csv"] = _csv(("q", "variance"), var_rows,
                                         config_hash)
-    dual_rms = math.sqrt(np.mean((quad[2] - spec2) ** 2)) \
+    quad2, spec2 = cols[1], cols[-1]
+    dual_rms = math.sqrt(np.mean((quad2 - spec2) ** 2)) \
         / math.sqrt(np.mean(spec2**2))
     tables["duality.csv"] = _csv(("second_chaos_rms_discrepancy",),
                                  [(dual_rms,)], config_hash)
@@ -500,13 +474,15 @@ STUDIES = {
 # purpose; replay reports a manifest of an older version as superseded.
 # 2 for chaos-audit: projections on the exact cubature, not the mesh.
 # 2 for mean-length: lengths.csv names each row's level.
+# 2 for variance-scaling: fig_scaling.csv, which restated scaling.csv and
+# scaling_fit.csv, is no longer written.
 NUMERICS = {study: 1 for study in STUDIES} | {"chaos-audit": 2,
-                                              "mean-length": 2}
+                                              "mean-length": 2,
+                                              "variance-scaling": 2}
 
 
-def run_study(config, out_dir=None, workers=None):
+def run_study(cfg, out_dir=None):
     """Execute a study; optionally write tables + manifest to ``out_dir``."""
-    cfg = config if workers is None else replace(config, workers=workers)
     config_hash = _config_hash(replace(cfg, workers=1))
     t0 = time.perf_counter()
     tables, checks = STUDIES[cfg.study](cfg, config_hash)
@@ -678,12 +654,11 @@ def main(argv=None):
             print("replay: byte-identical")
             return 0
 
-        cfg = parse_config(Path(args.config).read_text())
-        overrides = {key: val
-                     for key in ("seed", "workers", "mesh_level", "replicates")
-                     if (val := getattr(args, key)) is not None}
-        cfg = replace(cfg, study=args.command, **overrides)
-        _validate_config(cfg)
+        # a flag named after a config key overrides it
+        overrides = {key: val for key, val in vars(args).items()
+                     if key in _KEYS and val is not None}
+        cfg = parse_config(Path(args.config).read_text(),
+                           study=args.command, **overrides)
         result = run_study(cfg, out_dir=args.out)
         for name, ok in sorted(result.checks.items()):
             print(f"check {name}: {'pass' if ok else 'FAIL'}")

@@ -50,7 +50,6 @@ __all__ = [
     "double_time_integral_csq",
     "CsqIntegral",
     "integrated_sq_cov",
-    "spectrum_to_text",
 ]
 
 LONG_MEMORY = "long-memory"
@@ -448,19 +447,3 @@ def integrated_sq_cov(spectrum, ell):
         )
     return 2.0 * e.c0**2 / (2.0 * expo - 1.0)
 
-
-# ----------------------------------------------------------------------
-# Text form (one [multipole] block per entry; parsed by cli.parse_config)
-# ----------------------------------------------------------------------
-
-def spectrum_to_text(spectrum):
-    """Render a spectrum back to the block format (already normalized)."""
-    lines = []
-    for e in spectrum.entries:
-        lines.append("[multipole]")
-        lines.append(f"ell = {e.ell}")
-        lines.append(f"c0 = {format(e.c0, '.17g')}")
-        lines.append(f"beta = {format(e.beta, '.17g')}")
-        if e.alpha is not None:
-            lines.append(f"alpha = {format(e.alpha, '.17g')}")
-    return "\n".join(lines) + "\n"

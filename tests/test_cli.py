@@ -1,14 +1,17 @@
 import hashlib
 import importlib
+import importlib.util
 import inspect
 import os
 import pkgutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import levelcurves
 from levelcurves.cli import (
@@ -87,6 +90,107 @@ def test_parse_and_round_trip():
     assert parse_config(render_config(cfg)) == cfg
 
 
+_BOOL_SPELLINGS = {True: ("true", "yes", "1", "True", "YES"),
+                   False: ("false", "no", "0", "FALSE", "No")}
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _spelled(flag):
+    return st.sampled_from(_BOOL_SPELLINGS[flag])
+
+
+def _number_list(numbers, min_size):
+    return st.lists(numbers, min_size=min_size, max_size=6).map(
+        lambda xs: ", ".join(map(repr, xs)))
+
+
+# a valid value, as config text, for every top-level key but normalize
+_KEY_TEXT = st.fixed_dictionaries({
+    "study": st.sampled_from(sorted(NUMERICS)),
+    "seed": st.integers(0, 2**64),
+    "replicates": st.integers(2, 10**6),
+    "dt": _POSITIVE.map(repr),
+    "mesh_level": st.integers(0, 8),
+    "workers": st.integers(1, 64),
+    "horizon": _POSITIVE.map(repr),
+    "level": _FINITE.map(repr),
+    "functional": st.sampled_from(("chaos2", "chaos1", "length")),
+    "q_max": st.integers(2, 12),
+    "ks_alpha": st.floats(0.0, 1.0, exclude_min=True,
+                          exclude_max=True).map(repr),
+    "reference_size": st.integers(1, 10**6),
+    "rosenblatt_n_inner": st.integers(16, 2**20),
+    "dump_lengths": st.booleans().flatmap(_spelled),
+    "t_ladder": _number_list(_POSITIVE, 4),
+    "u_grid": _number_list(_FINITE, 1),
+})
+CANONICAL_ORDER = ["study", "seed", "replicates", "dt", "mesh_level",
+                   "workers", "horizon", "level", "functional", "q_max",
+                   "ks_alpha", "reference_size", "rosenblatt_n_inner",
+                   "dump_lengths", "t_ladder", "u_grid", "normalize"]
+# SPEC_BLOCK rescaled to unit variance, for configs with normalize = false
+_NORMALIZED_BLOCK = "[multipole]" + render_config(
+    parse_config("study = mean-length\nlevel = 0\n" + SPEC_BLOCK)
+).split("[multipole]", 1)[1]
+
+
+@given(keys=_KEY_TEXT, normalize=st.booleans(), data=st.data())
+def test_every_key_round_trips_through_the_canonical_render(keys, normalize,
+                                                            data):
+    keys["normalize"] = data.draw(_spelled(normalize))
+    lines = [f"{key} = {val}" for key, val in
+             data.draw(st.permutations(sorted(keys.items())))]
+    cfg = parse_config("\n".join(lines) + "\n"
+                       + (SPEC_BLOCK if normalize else _NORMALIZED_BLOCK))
+    assert cfg.dump_lengths is (keys["dump_lengths"]
+                                in _BOOL_SPELLINGS[True])
+    canonical = render_config(cfg)
+    assert [ln.split(" = ")[0] for ln in canonical.splitlines()[:17]] \
+        == CANONICAL_ORDER
+    assert parse_config(canonical) == cfg
+    assert render_config(parse_config(canonical)) == canonical
+
+
+def _studybench_workloads():
+    name = "studybench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).parents[1] / "studybench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+# sha256 of the canonical render of each benchmark workload config at seed
+# 0, recorded before the key table drove the render: every config hash
+# stamped on a table or manifest depends on these bytes.
+RENDER_SHA256 = {
+    "audit-mesh5":
+        "fa1723b4e9456983c817eee3196a76172cea23728d4c7496346abc0a7cd7307c",
+    "berry-paths":
+        "265143031a440e1ce43294692a7359f4e47c11bd067282c8de4eb0a8376fb6b5",
+    "limit-long":
+        "806eb6c9eac5a1103c1f0712e1fb6a1423ed299906a0edd28669edf526d97e83",
+    "mean-mesh6":
+        "3777d5df1218b2ddb7876b580a2b659043f419a31b0ce7bd8f9af058160714da",
+    "scaling-length":
+        "a121683b7a9012c64b3d695c81a2e7d9759794f4ecedd04e37a58901c60f404b",
+    "mean-mesh6+dump_lengths":
+        "30301b9c1b30c5c056cd5c7a3f3a92b9f4bb9ad5d135d98c7869ca8c67857dbc",
+}
+
+
+@pytest.mark.parametrize("case", sorted(RENDER_SHA256))
+def test_canonical_render_of_the_benchmark_configs_is_pinned(case):
+    name, _, dump = case.partition("+")
+    text = _studybench_workloads().config_text(name, 0)
+    if dump:
+        text += f"{dump} = true\n"
+    render = render_config(parse_config(text))
+    assert hashlib.sha256(render.encode()).hexdigest() == RENDER_SHA256[case]
+
+
 def test_parse_errors_name_key_and_line():
     with pytest.raises(ValueError, match=r"beta.*\(0, 1\]"):
         parse_config("study = mean-length\nlevel = 0\n[multipole]\n"
@@ -145,6 +249,22 @@ def test_validation_bounds():
     with pytest.raises(ValueError, match="ks_alpha"):
         parse_config("study = mean-length\nlevel = 0\nks_alpha = 2\n"
                      + SPEC_BLOCK)
+    # a negative seed used to fail in numpy's SeedSequence, naming no key
+    with pytest.raises(ValueError, match="key 'seed' must be >= 0"):
+        parse_config("study = mean-length\nlevel = 0\nseed = -1\n"
+                     + SPEC_BLOCK)
+
+
+@pytest.mark.parametrize("line, message", [
+    # chaos-audit's duality check reads the order-2 projection: q_max = 1
+    # used to sample every replicate, then fail with "error: 2"
+    ("q_max = 1", r"key 'q_max' must lie in \[2, 12\]"),
+    ("t_ladder = 25, 50, 100", "key 't_ladder' must hold at least 4"),
+])
+def test_keys_of_one_study_are_checked_for_every_study(line, message):
+    with pytest.raises(ValueError, match=message):
+        parse_config("study = chaos-audit\nlevel = 0.0\nhorizon = 50\n"
+                     + line + "\n" + LONG_SPEC_BLOCK)
 
 
 @pytest.mark.parametrize("key, bad, good", [
@@ -291,7 +411,7 @@ def test_workers_do_not_change_bytes():
     for name, text in WORKER_CFGS.items():
         cfg = parse_config(text)
         serial = run_study(cfg)
-        parallel = run_study(cfg, workers=2)
+        parallel = run_study(replace(cfg, workers=2))
         assert serial.tables == parallel.tables, name
 
 
@@ -347,10 +467,10 @@ beta = 0.9
 """
     cfg = parse_config(cfg_text)
     res = run_study(cfg, out_dir=tmp_path)
-    assert "scaling_fit.csv" in res.tables
-    assert "fig_scaling.csv" in res.tables
-    fig = res.tables["fig_scaling.csv"]
-    assert fig.splitlines()[1].startswith("# fitted_slope = ")
+    # fig_scaling.csv, which restated these two tables, is retired
+    assert sorted(res.tables) == ["scaling.csv", "scaling_fit.csv"]
+    fit = res.tables["scaling_fit.csv"].splitlines()
+    assert fit[1] == "fitted_exponent,exponent_se,expected_exponent"
     assert res.checks.get("exponent_within_0.1") is True
 
 
@@ -412,6 +532,22 @@ def test_main_applies_study_and_overrides_before_validating(tmp_path,
                  "--out", str(tmp_path / "o3"), "--replicates", "1"]) == 1
     assert "key 'replicates' must be >= 2" in capsys.readouterr().err
     assert not (tmp_path / "o2").exists() and not (tmp_path / "o3").exists()
+
+
+def test_main_validates_a_config_only_under_the_subcommands_study(tmp_path):
+    # the file's own study used to be validated first, so a berry-profile
+    # config without a horizon could not run the mean-length study
+    text = BERRY_CFG.replace("horizon = 60\n", "")
+    with pytest.raises(ValueError, match="requires key 'horizon'"):
+        parse_config(text)
+    assert parse_config(text, study="mean-length").study == "mean-length"
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(text)
+    assert main(["mean-length", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out"), "--mesh-level", "3"]) == 0
+    manifest = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+    assert "|study = mean-length" in manifest
+    assert "|u_grid = 0, 0.40000000000000002, 0.80000000000000004" in manifest
 
 
 def test_parser_rejects_unknown_command():
@@ -502,8 +638,7 @@ def test_chaos_audit_study_loads_no_numpy_polynomial(tmp_path):
 NUMERICS1 = Path(__file__).parent / "data" / "numerics1"
 
 
-@pytest.mark.parametrize("study", ["variance-scaling", "berry-profile",
-                                   "limit-law"])
+@pytest.mark.parametrize("study", ["berry-profile", "limit-law"])
 def test_numerics1_manifests_of_unchanged_studies_replay_identical(
         tmp_path, capsys, study):
     assert NUMERICS[study] == 1
@@ -533,6 +668,22 @@ def test_numerics1_chaos_audit_manifest_is_superseded(tmp_path, capsys):
     assert "numerics: 2" in redo.read_text()
     assert main(["replay", "--manifest", str(redo),
                  "--out", str(tmp_path / "redo3")]) == 0
+
+
+def test_numerics1_variance_scaling_manifest_is_superseded(tmp_path,
+                                                            capsys):
+    # numerics 2 retired fig_scaling.csv; the other two tables are unchanged
+    manifest = NUMERICS1 / "variance-scaling.txt"
+    report = replay(manifest, tmp_path / "redo")
+    assert report.recorded_numerics == 1 and report.superseded
+    assert report.tables == {"fig_scaling.csv": "retired",
+                             "scaling.csv": "identical",
+                             "scaling_fit.csv": "identical"}
+    assert main(["replay", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "redo2")]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "replay: superseded (numerics 1 → 2)"
+    assert not (tmp_path / "redo2" / "tables" / "fig_scaling.csv").exists()
 
 
 def test_numerics1_mean_length_manifest_is_superseded(tmp_path, capsys):

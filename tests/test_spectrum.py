@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from conftest import spec_from_fractions
-from levelcurves.cli import parse_config
+from levelcurves.cli import RunConfig, parse_config, render_config
 from levelcurves.special import legendre_table
 from levelcurves.spectrum import (
     BOUNDARY,
@@ -23,7 +23,6 @@ from levelcurves.spectrum import (
     multipole_cov,
     sigma1_sq,
     space_time_cov,
-    spectrum_to_text,
 )
 
 RNG = np.random.default_rng(5150)
@@ -458,10 +457,10 @@ def _parse_spectrum(blocks, top="study = mean-length\nlevel = 0\n"):
 
 def test_spectrum_text_round_trip():
     spec = spec_from_fractions({0: (0.4, 1.0, 2.0), 2: (0.6, 0.4, None)})
-    text = spectrum_to_text(spec)
-    spec2 = _parse_spectrum(
-        text, "study = mean-length\nlevel = 0\nnormalize = false\n")
-    assert spec == spec2
+    text = render_config(RunConfig(study="mean-length", spectrum=spec,
+                                   level=0.0))
+    assert "normalize = false" in text.splitlines()
+    assert parse_config(text).spectrum == spec
 
 
 def test_spectrum_text_minimal():
