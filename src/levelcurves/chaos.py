@@ -19,16 +19,21 @@ cubature); their agreement is the strongest correctness lever in the
 package.
 
 Variance formulas.  The exact second-chaos variance follows from the
-sample-spectrum form and Cov(a^2(t), a^2(s)) = 2 C(t-s)^2:
+sample-spectrum form and Cov(a^2(t), a^2(s)) = 2 C(t-s)^2.  Every
+replicate integrates in time by the trapezoid rule on its ``TimeGrid`` of
+n steps dt apart, so the exact variance is a lag sum on that grid:
 
-    Var(C_T(u)[2]) = (sigma1^2 pi / 4) phi(u)^2
-        * sum_ell (2 ell + 1) w_ell(u)^2 * int_[0,T]^2 C_ell(t-s)^2 dt ds,
+    Var(C_T(u)[2]) = (sigma1^2 pi / 4) phi(u)^2 * sum_ell (2 ell + 1)
+        * w_ell(u)^2 * dt^2 sum_(|h| < n) A(h) C_ell(|h| dt)^2,
 
-with w_ell(u) = (u^2 - 1) + lambda_ell / (2 sigma1^2).  (The multiplicity
-enters linearly: each multipole contributes 2 ell + 1 independent
-coefficient paths of weight C_ell(0), and the spherical Legendre-square
-integral cancels one 2 ell + 1 factor.)  Monte Carlo ensembles reproduce
-this constant; see the regression tests.
+with w_ell(u) = (u^2 - 1) + lambda_ell / (2 sigma1^2) and A(h) the
+autocorrelation of the trapezoid weights (1/2, 1, ..., 1, 1/2).  The lag
+sum is the grid form of int_[0,T]^2 C_ell(t-s)^2 dt ds, whose large-T
+limits give the asymptotic constants.  (The multiplicity enters linearly:
+each multipole contributes 2 ell + 1 independent coefficient paths of
+weight C_ell(0), and the spherical Legendre-square integral cancels one
+2 ell + 1 factor.)  Monte Carlo ensembles reproduce this variance; see
+the regression tests.
 """
 
 from __future__ import annotations
@@ -47,8 +52,8 @@ from .spectrum import (
     LONG_MEMORY,
     SHORT_MEMORY,
     classify_regime,
-    double_time_integral_csq,
     integrated_sq_cov,
+    multipole_cov,
     sigma1_sq,
 )
 from .synthesis import TimeGrid, measure_replicate
@@ -330,16 +335,31 @@ def chaos_projections_quadrature(ensemble, basis, u, orders):
 # Variance formulas
 # ----------------------------------------------------------------------
 
-def second_chaos_variance_exact(spectrum, u, horizon):
-    """Exact second-chaos variance at finite horizon (quadrature in the
-    time-lag integral, closed form elsewhere)."""
+def _trapezoid_lag_weights(n_steps):
+    """Autocorrelation A(h) = sum_k w_k w_(k+h), h = 0..n-1, of the unit
+    trapezoid weights w = (1/2, 1, ..., 1, 1/2) on n >= 2 steps:
+    A(0) = n - 3/2, A(h) = n - 1 - h for 0 < h < n - 1, A(n-1) = 1/4."""
+    a = (n_steps - 1.0) - np.arange(n_steps, dtype=float)
+    a[0] -= 0.5
+    a[-1] = 0.25
+    return a
+
+
+def second_chaos_variance_exact(spectrum, u, grid):
+    """Exact second-chaos variance on the ``TimeGrid`` the replicates are
+    sampled on: per multipole the time factor is the lag sum
+    dt^2 sum_(|h| < n) A(h) C_ell(|h| dt)^2, O(n) with no eigenvalues."""
     s1sq = sigma1_sq(spectrum)
     phi2 = gaussian_density(u) ** 2
+    lags = _trapezoid_lag_weights(grid.n_steps)
+    tau = grid.times
     total = 0.0
     for e in spectrum.entries:
         w = second_chaos_weight(spectrum, e.ell, u)
-        csq = double_time_integral_csq(spectrum, e.ell, horizon)
-        total += (2 * e.ell + 1) * w * w * csq.numeric
+        csq = multipole_cov(spectrum, e.ell, tau) ** 2
+        # A and C^2 are even in h: each lag h > 0 stands for +-h
+        lag_sum = 2.0 * (lags @ csq) - lags[0] * csq[0]
+        total += (2 * e.ell + 1) * w * w * grid.dt ** 2 * lag_sum
     return s1sq * math.pi / 4.0 * phi2 * total
 
 

@@ -50,7 +50,6 @@ from .synthesis import HarmonicBasis, TimeGrid, build_icosphere, \
 __all__ = [
     "RosenblattSampler",
     "sample_rosenblatt",
-    "rosenblatt_scale_constant",
     "v_star",
     "composite_reference_samples",
     "ScalingFit",
@@ -83,14 +82,6 @@ class RosenblattSampler:
             raise ValueError("n_inner too small")
         if self.burn_factor < 2:
             raise ValueError("burn_factor must be >= 2 for a valid embedding")
-
-
-def rosenblatt_scale_constant(beta):
-    """Asymptotic normalizer sqrt((1-beta)(1-2 beta)/2) that maps the raw
-    time average (1/T^(1-beta)) int_0^T H_2(xi) dt to unit variance; the
-    exact finite-grid standard deviation used by the sampler converges to
-    T^(1-beta) divided by this constant."""
-    return math.sqrt((1.0 - beta) * (1.0 - 2.0 * beta) / 2.0)
 
 
 def _rosenblatt_plan(sampler):
@@ -172,8 +163,7 @@ def v_star(spectrum, u):
     return total
 
 
-def composite_reference_samples(spectrum, u, count, seed, n_inner=2**16,
-                                burn_factor=4):
+def composite_reference_samples(spectrum, u, count, seed, n_inner=2**16):
     """Draws from the limit mixture of the standardized functional under
     long memory: unit variance by construction of v*."""
     report = classify_regime(spectrum)
@@ -181,8 +171,7 @@ def composite_reference_samples(spectrum, u, count, seed, n_inner=2**16,
         raise ValueError("the composite Rosenblatt reference applies to the "
                          "long-memory regime only")
     norm = math.sqrt(v_star(spectrum, u))
-    sampler = RosenblattSampler(beta=report.beta_star, n_inner=n_inner,
-                                burn_factor=burn_factor)
+    sampler = RosenblattSampler(beta=report.beta_star, n_inner=n_inner)
     rng_seeds = mcstats.replicate_seeds(seed, len(report.i_star))
     out = np.zeros(count)
     for ell, s in zip(report.i_star, rng_seeds):
@@ -232,7 +221,7 @@ class ScalingFit:
 
 def fit_variance_scaling(spectrum, u, horizons, replicates, seed,
                          functional="chaos2", mesh_level=3, dt=0.25,
-                         n_boot=200, workers=1):
+                         workers=1):
     """Ensemble variances of the chosen functional on a horizon ladder and
     the fitted power-law exponent.
 
@@ -254,8 +243,7 @@ def fit_variance_scaling(spectrum, u, horizons, replicates, seed,
         kernel = partial(measure_replicate, spectrum, grid, measure)
         vals = np.array(mcstats.replicate_map(kernel, ladder_seeds[t_idx],
                                               replicates, workers=workers))
-        var, se = mcstats.variance_with_bootstrap_se(vals, n_boot=n_boot,
-                                                     seed=t_idx)
+        var, se = mcstats.variance_with_bootstrap_se(vals, seed=t_idx)
         variances.append(var)
         ses.append(se)
     fit = mcstats.fit_loglog(horizons, variances, ses)

@@ -20,8 +20,9 @@ This module also houses the closed-form covariance quantities derived from
 the model: the space-time covariance series, the gradient variance
 sigma1^2, the full 3x3 covariance blocks of (Z, d_theta Z, (1/sin) d_phi Z)
 between two space-time points, the long/short-memory regime report, and
-the time integrals of squared covariances that drive second-chaos
-variances.
+int_R C_ell^2, the short-memory variance constant.  The finite-horizon
+second-chaos variance is a lag sum of C_ell^2 on the sampled time grid
+(``chaos.second_chaos_variance_exact``).
 """
 
 from __future__ import annotations
@@ -41,14 +42,11 @@ __all__ = [
     "LONG_MEMORY",
     "SHORT_MEMORY",
     "BOUNDARY",
-    "memory_kernel",
     "multipole_cov",
     "space_time_cov",
     "sigma1_sq",
     "grad_cov_matrix",
     "classify_regime",
-    "double_time_integral_csq",
-    "CsqIntegral",
     "integrated_sq_cov",
 ]
 
@@ -190,23 +188,6 @@ class RegimeReport:
 # ----------------------------------------------------------------------
 # Covariance closed forms
 # ----------------------------------------------------------------------
-
-def memory_kernel(beta, alpha, tau):
-    """Temporal decay factor (1+|tau|)^(-beta), or (1+|tau|)^(-alpha) at
-    beta = 1.  Unit value at tau = 0."""
-    beta = float(beta)
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    if beta == 1.0:
-        if alpha is None or float(alpha) < 2.0:
-            raise ValueError(f"beta = 1 requires alpha >= 2, got {alpha}")
-        expo = float(alpha)
-    else:
-        expo = beta
-    tau = np.asarray(tau, dtype=float)
-    out = (1.0 + np.abs(tau)) ** (-expo)
-    return float(out) if np.ndim(out) == 0 else out
-
 
 def _exponent(entry):
     return entry.alpha if entry.beta == 1.0 else entry.beta
@@ -368,70 +349,8 @@ def classify_regime(spectrum):
 
 
 # ----------------------------------------------------------------------
-# Time integrals of squared covariances
+# Short-memory constant
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CsqIntegral:
-    """Double time integral of C_ell(t-s)^2 over [0, T]^2.
-
-    ``numeric`` is the exact value 2 int_0^T (T - tau) C(tau)^2 dtau;
-    ``asymptotic`` the large-T prediction (None on the 2 beta = 1
-    boundary): T^(2-2 beta) C(0)^2 / ((1-beta)(1-2 beta)) under long
-    memory (from 2 [1/(1-2b) - 1/(2-2b)] = 1/((1-b)(1-2b))),
-    T int_R C^2 under short memory.
-    """
-
-    numeric: float
-    asymptotic: float | None
-    kind: str
-
-
-def _lag_weighted_power_integral(p, T):
-    """int_0^T (T - tau) (1 + tau)^(-p) dtau.  With L = log1p(T) and
-    b = 2 - p it is (1 + T) q(1 - p) - q(b), q(k) = expm1(k L) / k (= L at
-    k = 0: the log cases p = 1, 2).  For small L those terms cancel, so
-    the series sum_(n>=2) (1 + b + ... + b^(n-2)) L^n / n! is summed."""
-    L = math.log1p(T)
-    b = 2.0 - p
-    if L < 0.1 and abs(b) * L < 1.0:
-        total, h, term = 0.0, 1.0, L
-        for n in range(2, 24):
-            term *= L / n
-            total += h * term
-            h = 1.0 + b * h
-        return total
-
-    def quotient(k):
-        return math.expm1(k * L) / k if k else L
-
-    return (1.0 + T) * quotient(1.0 - p) - quotient(b)
-
-
-def double_time_integral_csq(spectrum, ell, horizon):
-    """Exact (closed-form) and asymptotic values of
-    int over [0,T]^2 of C_ell(t-s)^2 dt ds."""
-    T = float(horizon)
-    if T <= 0:
-        raise ValueError("horizon must be positive")
-    e = spectrum.entry(int(ell))
-    if e is None:
-        raise ValueError(f"ell={ell} not present in the spectrum")
-    numeric = 2.0 * e.c0**2 \
-        * _lag_weighted_power_integral(2.0 * _exponent(e), T)
-
-    b = e.beta
-    if b < 0.5:
-        asym = T ** (2.0 - 2.0 * b) * e.c0**2 / ((1.0 - b) * (1.0 - 2.0 * b))
-        kind = "long"
-    elif b > 0.5:
-        asym = T * integrated_sq_cov(spectrum, ell)
-        kind = "short"
-    else:
-        asym = None
-        kind = "boundary"
-    return CsqIntegral(numeric=numeric, asymptotic=asym, kind=kind)
-
 
 def integrated_sq_cov(spectrum, ell):
     """int over R of C_ell(tau)^2 dtau = 2 c0^2 / (p - 1), p = 2 x the

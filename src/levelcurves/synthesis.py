@@ -74,6 +74,9 @@ class TimeGrid:
     @staticmethod
     def for_horizon(horizon, dt):
         """Grid covering [0, horizon] with step dt (horizon rounded to grid)."""
+        if not 0.0 < horizon < math.inf:
+            raise ValueError(
+                f"horizon must be positive and finite, got {horizon!r}")
         n = int(round(horizon / dt)) + 1
         return TimeGrid(dt=dt, n_steps=max(n, 2))
 

@@ -102,7 +102,7 @@ def test_ac3_second_chaos_variance_exact():
         second_chaos_sample_spectrum(sample_time_processes(spec, grid, s), u)
         for s in np.random.SeedSequence(31001).spawn(reps)
     ])
-    expected = second_chaos_variance_exact(spec, u, grid.horizon)
+    expected = second_chaos_variance_exact(spec, u, grid)
     rel = abs(vals.var(ddof=1) - expected) / expected
     _report("AC3", rel < 0.10,
             f"MC variance {vals.var(ddof=1):.1f} vs exact {expected:.1f}, "

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import second_chaos_hermite_form, spec_from_fractions
 from levelcurves.chaos import (
@@ -28,6 +28,7 @@ from levelcurves.spectrum import (
     MultipoleEntry,
     classify_regime,
     make_spectrum,
+    multipole_cov,
     sigma1_sq,
 )
 from levelcurves.synthesis import HarmonicBasis, SphereCubature, TimeGrid, \
@@ -511,10 +512,51 @@ def test_exact_variance_matches_prop_constants_at_large_horizon():
     u = 0.4
     consts = asymptotic_variance_constants(spec, u)
     assert consts.long_constant is not None
-    T = 1e4
-    ratio = second_chaos_variance_exact(spec, u, T) \
-        / (T ** 1.6 * consts.long_constant)
+    grid = TimeGrid.for_horizon(1e4, 1.0)
+    ratio = second_chaos_variance_exact(spec, u, grid) \
+        / (grid.horizon ** 1.6 * consts.long_constant)
     assert ratio == pytest.approx(1.0, abs=0.05)
+
+
+def _brute_second_chaos_variance(spectrum, u, grid):
+    """Oracle: the trapezoid weights omega against the full n x n matrix of
+    C_ell(t_j - t_k)^2, omega @ C^2 @ omega, in place of the lag sum."""
+    omega = np.full(grid.n_steps, grid.dt)
+    omega[[0, -1]] = grid.dt / 2.0
+    t = grid.times
+    total = 0.0
+    for e in spectrum.entries:
+        csq = multipole_cov(spectrum, e.ell, t[:, None] - t[None, :]) ** 2
+        total += (2 * e.ell + 1) * second_chaos_weight(spectrum, e.ell, u) \
+            ** 2 * (omega @ csq @ omega)
+    return sigma1_sq(spectrum) * math.pi / 4.0 * gaussian_density(u) ** 2 \
+        * total
+
+
+@given(n=st.integers(2, 400), dt=st.floats(0.05, 2.0),
+       alpha=st.floats(2.0, 6.0),
+       beta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       u=st.floats(-2.0, 2.0))
+@example(n=2, dt=0.5, alpha=2.0, beta=0.3, u=0.5)  # lag weights (1/2, 1/4)
+def test_second_chaos_variance_exact_matches_brute_double_sum(
+        n, dt, alpha, beta, u):
+    # a short-memory monopole (beta = 1, exponent alpha) and a quadrupole
+    # of memory exponent beta
+    spec = make_spectrum([MultipoleEntry(0, 1.0, 1.0, alpha),
+                          MultipoleEntry(2, 0.5, beta)])
+    grid = TimeGrid(dt, n)
+    assert second_chaos_variance_exact(spec, u, grid) == pytest.approx(
+        _brute_second_chaos_variance(spec, u, grid), rel=1e-12, abs=0.0)
+
+
+def test_second_chaos_variance_exact_on_the_audit_grid():
+    # the spectrum, level and grid (T = 25, dt = 0.25) of the audit-mesh5
+    # benchmark workload
+    spec = make_spectrum([MultipoleEntry(0, 1.0, 1.0, 2.2),
+                          MultipoleEntry(1, 2.0, 0.2)])
+    grid = TimeGrid.for_horizon(25.0, 0.25)
+    assert second_chaos_variance_exact(spec, 0.5, grid) == pytest.approx(
+        168.8803, rel=1e-6)
 
 
 def test_asymptotic_constants_cancellation_structure():
@@ -551,7 +593,7 @@ def test_second_chaos_variance_monte_carlo_small_scale():
         second_chaos_sample_spectrum(sample_time_processes(spec, grid, s), u)
         for s in np.random.SeedSequence(2025).spawn(reps)
     ])
-    expected = second_chaos_variance_exact(spec, u, grid.horizon)
+    expected = second_chaos_variance_exact(spec, u, grid)
     assert vals.var(ddof=1) == pytest.approx(expected, rel=0.2)
 
 

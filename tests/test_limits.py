@@ -15,7 +15,6 @@ from levelcurves.limits import (
     composite_reference_samples,
     fit_variance_scaling,
     limit_law_report,
-    rosenblatt_scale_constant,
     sample_rosenblatt,
     v_star,
 )
@@ -74,13 +73,11 @@ def test_rosenblatt_shape_stable_under_inner_refinement():
     assert ks.statistic < 0.02
 
 
-def test_rosenblatt_determinism_and_scale_constant():
+def test_rosenblatt_determinism():
     sampler = RosenblattSampler(beta=0.25, n_inner=2**10)
     x1 = sample_rosenblatt(sampler, 101, 9)
     x2 = sample_rosenblatt(sampler, 101, 9)
     assert np.array_equal(x1, x2)
-    assert rosenblatt_scale_constant(0.25) == pytest.approx(
-        math.sqrt(0.75 * 0.5 / 2.0), rel=1e-14)
 
 
 # ----------------------------------------------------------------------

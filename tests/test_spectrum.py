@@ -6,8 +6,13 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from conftest import spec_from_fractions
+from levelcurves.chaos import (
+    asymptotic_variance_constants,
+    second_chaos_variance_exact,
+    second_chaos_weight,
+)
 from levelcurves.cli import RunConfig, parse_config, render_config
-from levelcurves.special import legendre_table
+from levelcurves.special import gaussian_density, legendre_table
 from levelcurves.spectrum import (
     BOUNDARY,
     LONG_MEMORY,
@@ -15,15 +20,14 @@ from levelcurves.spectrum import (
     MultipoleEntry,
     PowerSpectrum,
     classify_regime,
-    double_time_integral_csq,
     grad_cov_matrix,
     integrated_sq_cov,
     make_spectrum,
-    memory_kernel,
     multipole_cov,
     sigma1_sq,
     space_time_cov,
 )
+from levelcurves.synthesis import TimeGrid
 
 RNG = np.random.default_rng(5150)
 
@@ -32,19 +36,27 @@ RNG = np.random.default_rng(5150)
 # Model construction and the memory kernel
 # ----------------------------------------------------------------------
 
+def _kernel(beta, alpha, tau):
+    """The memory kernel C(tau) / C(0) of a one-multipole spectrum."""
+    spec = make_spectrum([MultipoleEntry(0, 1.0, beta, alpha)])
+    return multipole_cov(spec, 0, tau) / spec.entry(0).c0
+
+
 def test_memory_kernel_values():
-    assert memory_kernel(0.5, None, 3.0) == pytest.approx(0.5, abs=1e-15)
-    assert memory_kernel(1.0, 2.0, 0.0) == 1.0
-    assert memory_kernel(0.2, None, 99.0) == pytest.approx(100 ** -0.2, rel=1e-12)
+    assert _kernel(0.5, None, 3.0) == pytest.approx(0.5, abs=1e-15)
+    assert _kernel(1.0, 2.0, 0.0) == 1.0
+    # beta = 1 decays with alpha: C(3) / C(0) = 4^(-2) at alpha = 2
+    assert _kernel(1.0, 2.0, 3.0) == pytest.approx(4 ** -2, rel=1e-12)
+    assert _kernel(0.2, None, 99.0) == pytest.approx(100 ** -0.2, rel=1e-12)
 
 
 def test_memory_kernel_domain_errors():
-    with pytest.raises(ValueError):
-        memory_kernel(0.0, None, 1.0)
-    with pytest.raises(ValueError):
-        memory_kernel(1.2, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        memory_kernel(1.0, 1.5, 1.0)
+    with pytest.raises(ValueError, match="beta"):
+        make_spectrum([MultipoleEntry(0, 1.0, 0.0)])
+    with pytest.raises(ValueError, match="beta"):
+        make_spectrum([MultipoleEntry(0, 1.0, 1.2, 2.0)])
+    with pytest.raises(ValueError, match="alpha"):
+        make_spectrum([MultipoleEntry(0, 1.0, 1.0, 1.5)])
 
 
 def test_spectrum_validation():
@@ -301,65 +313,66 @@ def test_classify_requires_high_multipole():
 
 
 # ----------------------------------------------------------------------
-# Squared-covariance time integrals
+# Squared-covariance time sums
 # ----------------------------------------------------------------------
+
+def _dipole(beta):
+    """A spectrum of one ell = 1 multipole of memory exponent beta: its
+    sigma1^2 is 1, so its second-chaos weight at u = 1 is 1."""
+    return make_spectrum([MultipoleEntry(1, 1.0, beta)],
+                         require_monopole=False)
+
+
+def _level_factor(spec):
+    """sigma1^2 (pi / 4) phi(1)^2 (2 ell + 1) w_1(1)^2: the factor of a
+    dipole's second-chaos variance at u = 1 in front of its time sum."""
+    return sigma1_sq(spec) * math.pi / 4.0 * gaussian_density(1.0) ** 2 \
+        * 3 * second_chaos_weight(spec, 1, 1.0) ** 2
+
+
+def _csq_ratio(beta, horizon, dt):
+    """The dipole's exact grid variance over its long-memory asymptote
+    T^(2 - 2 beta) x ``asymptotic_variance_constants``."""
+    spec = _dipole(beta)
+    grid = TimeGrid.for_horizon(horizon, dt)
+    const = asymptotic_variance_constants(spec, 1.0).long_constant
+    return second_chaos_variance_exact(spec, 1.0, grid) \
+        / (grid.horizon ** (2.0 - 2.0 * beta) * const)
+
 
 def test_csq_integral_asymptotic_constant():
     # beta = 0.25: constant 1/((1 - b)(1 - 2b)) = 8/3.  Derived by direct
-    # integration and confirmed by the Riemann oracle below; the doubled
-    # value sometimes quoted for this limit fails the numeric/asymptotic
-    # consistency check by exactly a factor 2.
-    spec = make_spectrum([MultipoleEntry(0, 4 * math.pi, 0.25)])
-    e0 = spec.entry(0)
-    res = double_time_integral_csq(spec, 0, 100.0)
-    assert res.kind == "long"
-    assert res.asymptotic / (100.0 ** 1.5 * e0.c0**2) == pytest.approx(
-        8.0 / 3.0, rel=1e-12)
+    # integration of 2 int_0^T (T - tau) C(tau)^2 dtau; the doubled value
+    # sometimes quoted for this limit fails the large-horizon checks below
+    # by exactly a factor 2.
+    spec = _dipole(0.25)
+    const = asymptotic_variance_constants(spec, 1.0)
+    assert const.regime == LONG_MEMORY
+    assert const.long_constant / (_level_factor(spec) * spec.entry(1).c0**2) \
+        == pytest.approx(8.0 / 3.0, rel=1e-12)
 
 
 def test_csq_integral_near_constant_kernel():
-    spec = make_spectrum([MultipoleEntry(0, 4 * math.pi, 1e-6)])
-    e0 = spec.entry(0)
-    res = double_time_integral_csq(spec, 0, 10.0)
-    assert res.numeric == pytest.approx(e0.c0**2 * 100.0, rel=1e-3)
-
-
-def test_csq_integral_against_riemann_oracle():
-    spec = make_spectrum([MultipoleEntry(0, 4 * math.pi, 0.3)])
-    T = 200.0
-    res = double_time_integral_csq(spec, 0, T)
-    # brute-force 2-D Riemann sum on a 2000^2 midpoint grid
-    n = 2000
-    t = (np.arange(n) + 0.5) * (T / n)
-    c = multipole_cov(spec, 0, t[:, None] - t[None, :])
-    riemann = (c**2).sum() * (T / n) ** 2
-    assert res.numeric == pytest.approx(riemann, rel=0.05)
-    assert res.asymptotic is not None
-
-
-def test_csq_integral_boundary_case_flagged():
-    spec = make_spectrum([MultipoleEntry(0, 4 * math.pi, 0.5)])
-    res = double_time_integral_csq(spec, 0, 50.0)
-    assert res.kind == "boundary"
-    assert res.asymptotic is None
-    assert res.numeric > 0
+    # C is nearly the constant c0, and the trapezoid weights sum to T
+    spec = _dipole(1e-6)
+    grid = TimeGrid.for_horizon(10.0, 0.25)
+    assert second_chaos_variance_exact(spec, 1.0, grid) \
+        / _level_factor(spec) == pytest.approx(spec.entry(1).c0**2 * 100.0,
+                                               rel=1e-3)
 
 
 @pytest.mark.parametrize("beta", [0.1, 0.2, 0.3])
 def test_csq_quadrature_matches_asymptotics_at_large_horizon(beta):
-    spec = make_spectrum([MultipoleEntry(0, 4 * math.pi, beta)])
-    res = double_time_integral_csq(spec, 0, 1e4)
-    assert res.numeric / res.asymptotic == pytest.approx(1.0, abs=0.05)
+    assert _csq_ratio(beta, 1e4, 1.0) == pytest.approx(1.0, abs=0.05)
 
 
 def test_csq_quadrature_beta_near_half_converges_slowly():
     # the finite-horizon correction decays like T^(2 beta - 1); at
     # beta = 0.4 that is T^(-0.2), so the 5% band is reached only around
     # T ~ 1e8.  Check monotone approach and the asymptote itself there.
-    spec = make_spectrum([MultipoleEntry(0, 4 * math.pi, 0.4)])
-    ratios = [double_time_integral_csq(spec, 0, T).numeric
-              / double_time_integral_csq(spec, 0, T).asymptotic
-              for T in (1e4, 1e6, 1e8)]
+    # dt = 10 keeps the T = 1e8 grid at 1e7 steps; dt = 1 would take
+    # 1e8 steps and about 0.8 GB for the same check.
+    ratios = [_csq_ratio(0.4, T, 10.0) for T in (1e4, 1e6, 1e8)]
     assert ratios[0] < ratios[1] < ratios[2]
     assert ratios[2] == pytest.approx(1.0, abs=0.05)
 
@@ -375,21 +388,6 @@ def test_integrated_sq_cov_closed_form():
         2 * e2.c0**2 / 0.6, rel=1e-9)
     with pytest.raises(ValueError):
         integrated_sq_cov(make_spectrum([MultipoleEntry(0, 1.0, 0.4)]), 0)
-
-
-def _quad_double_time_integral_csq(spectrum, ell, horizon):
-    """Oracle: 2 int_0^T (T - tau) C(tau)^2 dtau by adaptive quadrature,
-    as the package computed it before the closed form, with breakpoints
-    at the decades instead of at 1 alone (with the single breakpoint,
-    quad misses by 9.5% at p = 4.4, T = 1e5)."""
-    T = float(horizon)
-    e = spectrum.entry(int(ell))
-    expo = e.alpha if e.beta == 1.0 else e.beta
-    pts = [10.0 ** k for k in range(6) if 10.0 ** k < T]
-    val, _ = integrate.quad(
-        lambda tau: (T - tau) * (e.c0 * (1.0 + tau) ** (-expo)) ** 2,
-        0.0, T, points=pts or None, limit=400, epsrel=1e-9, epsabs=0.0)
-    return 2.0 * val
 
 
 def _quad_integrated_sq_cov(spectrum, ell):
@@ -412,38 +410,13 @@ def _one_multipole(c0, p):
     return PowerSpectrum((MultipoleEntry(0, c0, 1.0, p / 2.0),))
 
 
-_NEAR_ONE_AND_TWO = st.one_of(
-    st.floats(1.0 - 1e-9, 1.0 + 1e-9), st.floats(2.0 - 1e-9, 2.0 + 1e-9))
-
-
-@given(p=st.one_of(st.floats(0.6, 6.0), _NEAR_ONE_AND_TWO),
-       log_t=st.floats(-3.0, 5.0), c0=st.floats(0.1, 10.0))
-def test_csq_closed_forms_match_quadrature(p, log_t, c0):
+@given(p=st.one_of(st.floats(1.0, 6.0, exclude_min=True),
+                   st.floats(2.0 - 1e-9, 2.0 + 1e-9)),
+       c0=st.floats(0.1, 10.0))
+def test_integrated_sq_cov_matches_quadrature(p, c0):
     spec = _one_multipole(c0, p)
-    T = 10.0 ** log_t
-    exact = _quad_double_time_integral_csq(spec, 0, T)
-    assert double_time_integral_csq(spec, 0, T).numeric == \
-        pytest.approx(exact, rel=1e-12, abs=0.0)
-    if p > 1.0:
-        assert integrated_sq_cov(spec, 0) == pytest.approx(
-            _quad_integrated_sq_cov(spec, 0), rel=1e-12, abs=0.0)
-
-
-def test_csq_closed_form_elementary_cases():
-    # int_0^T (T - tau)(1 + tau)^(-p) dtau with a = 1 + T: the log cases
-    # a ln a - T (p = 1) and T - ln a (p = 2), and the cancellation-free
-    # T^2 / (2a) (p = 3) and T^2 (2a + 1) / (6 a^2) (p = 4), which pin
-    # the small-horizon branch to 1e-13 (expm1 forms alone reach 4e-13)
-    for T in 1e-3 * 1.07 ** np.arange(120.0):
-        a = 1.0 + T
-        cases = {1.0: (a * math.log1p(T) - T, 1e-12),
-                 2.0: (T - math.log1p(T), 1e-12),
-                 3.0: (T * T / (2.0 * a), 1e-13),
-                 4.0: (T * T * (2.0 * a + 1.0) / (6.0 * a * a), 1e-13)}
-        for p, (want, rel) in cases.items():
-            got = double_time_integral_csq(_one_multipole(1.0, p), 0, T)
-            assert got.numeric == \
-                pytest.approx(2.0 * want, rel=rel, abs=0.0), (p, T)
+    assert integrated_sq_cov(spec, 0) == pytest.approx(
+        _quad_integrated_sq_cov(spec, 0), rel=1e-12, abs=0.0)
 
 
 # ----------------------------------------------------------------------

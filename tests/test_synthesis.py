@@ -47,6 +47,13 @@ def test_time_grid_validation():
     assert TimeGrid.for_horizon(10.0, 0.5).n_steps == 21
 
 
+@pytest.mark.parametrize("horizon", [-5.0, 0.0, math.inf, math.nan])
+def test_time_grid_for_horizon_rejects_a_bad_horizon(horizon):
+    # -5 used to give a 2-step grid and inf an OverflowError
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        TimeGrid.for_horizon(horizon, 1.0)
+
+
 def test_icosphere_counts():
     m0 = build_icosphere(0)
     assert m0.n_vertices == 12 and m0.n_triangles == 20
