@@ -356,7 +356,8 @@ def second_chaos_variance_exact(spectrum, u, grid):
     total = 0.0
     for e in spectrum.entries:
         w = second_chaos_weight(spectrum, e.ell, u)
-        csq = multipole_cov(spectrum, e.ell, tau) ** 2
+        csq = multipole_cov(spectrum, e.ell, tau)
+        np.square(csq, out=csq)
         # A and C^2 are even in h: each lag h > 0 stands for +-h
         lag_sum = 2.0 * (lags @ csq) - lags[0] * csq[0]
         total += (2 * e.ell + 1) * w * w * grid.dt ** 2 * lag_sum

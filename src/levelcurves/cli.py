@@ -291,7 +291,9 @@ def _config_hash(cfg):
 
 def _level_lengths(basis, levels, ensemble):
     vals = basis.y @ ensemble.coeffs[:, 0]
-    return [isoline_lengths(vals, basis.mesh, u)[0][0] for u in levels]
+    # the slice once per level, each column marched at its own level
+    block = np.broadcast_to(vals[:, None], (vals.size, len(levels)))
+    return isoline_lengths(block, basis.mesh, levels)[0]
 
 
 def _study_mean_length(cfg, config_hash):

@@ -4,12 +4,17 @@ Isolines of a field slice are extracted by marching triangles with a case
 table, as in marching cubes (Lorensen & Cline 1987).  Each (triangle,
 slice) pair gets a 3-bit code from the signs of its vertex values minus u;
 codes 0 and 7 do not cross, and for the other six a static table names the
-odd vertex, the one alone on its side of u.  Only the crossing pairs get
-geometry: the two edges leaving the odd vertex get a crossing point by
-linear interpolation along the chord, and the pair forms one segment.
-Segment lengths are geodesic (great-circle) arcs between the radial
-projections of the crossing points; chordal lengths would carry an O(h^2)
-systematic bias that geodesic lengths avoid.
+odd vertex, the one alone on its side of u.  A block marched at one
+level has a plain uint8 code per pair.  A block with one level per slice
+(several levels of one field are its slice repeated per level) packs the
+codes of up to 21 slices into one integer word per triangle, slice j's
+code at bits 3j..3j+2, so one set of corner gathers classifies them all.
+Only the crossing pairs get geometry: the two edges leaving the odd
+vertex get a crossing point by linear interpolation along the chord, and
+the pair forms one segment.  Segment lengths are geodesic (great-circle)
+arcs between the radial projections of the crossing points; chordal
+lengths would carry an O(h^2) systematic bias that geodesic lengths
+avoid.
 
 The slices are marched in cache-sized blocks (Lam, Rothberg & Wolf 1991),
 their crossings get geometry a few thousand at a time, and the geometry
@@ -18,10 +23,10 @@ own crossings in triangle order, and the component arithmetic repeats the
 operations of the row-wise numpy calls in their order, so none of this
 changes a bit of any length.
 
-A vertex value exactly equal to u is perturbed upward by 1e-12 (the field
-is unit variance), deterministically, and counted; this keeps extraction
-total and reproducible, and matches the fact that a level is almost surely
-regular for the fields simulated here.
+A vertex value exactly equal to its slice's level u is perturbed upward
+by 1e-12 (the field is unit variance), deterministically, and counted;
+this keeps extraction total and reproducible, and matches the fact that a
+level is almost surely regular for the fields simulated here.
 
 The time-averaged functional accumulates trapezoidal time integrals of the
 per-slice lengths, centered by the Kac-Rice mean length.
@@ -51,6 +56,7 @@ _EXACT_HIT_NUDGE = 1e-12  # symbolic perturbation for values exactly at u
 _BLOCK_VALUES = 131_072   # (vertex, slice) values per marching block
 _CHUNK = 4096             # crossings per geometry pass
 _SYNTH_PAIRS = 3_000_000  # (triangle, slice) pairs per synthesized block
+_WORD_LEVELS = 21         # slices per code word: 3 bits each in a uint64
 
 
 # ----------------------------------------------------------------------
@@ -86,13 +92,13 @@ _AFTER = (_ODD + 2) % 3
 
 
 def _columns(values, mesh):
-    """``values`` as a C-contiguous float (V, S) array, one row per vertex
-    of ``mesh``; a (V,) slice is one column."""
+    """``values`` as a float (V, S) array, one row per vertex of ``mesh``;
+    a (V,) slice is one column."""
     vals = np.atleast_1d(np.asarray(values, dtype=float))
     if vals.shape[0] != mesh.n_vertices:
         raise ValueError(f"values have {vals.shape[0]} rows but the mesh "
                          f"has {mesh.n_vertices} vertices")
-    return np.ascontiguousarray(vals.reshape(vals.shape[0], -1))
+    return vals.reshape(vals.shape[0], -1)
 
 
 def _nudged(vals, cols, u):
@@ -108,17 +114,21 @@ def _nudged(vals, cols, u):
     return vals, cols, n_pert
 
 
-def _crossings(vals, cols, mesh, u):
-    """Flat (triangle, slice within ``cols``) indices of the crossing pairs
-    of the slices ``cols`` of a (V, N) array with no value exactly at u,
-    triangle-major, and their codes."""
-    above = (vals[:, cols] > u).view(np.uint8)     # (V, S)
+def _codes(word, mesh):
+    """Per triangle, the or of its corners' vertex code words ``word``
+    (V, ...), corner i's shifted up by i."""
     # contiguous corner columns: a strided triangles[:, i] index column
     # makes the row gather two to three times slower
     c0, c1, c2 = mesh.corners
-    code = above.take(c0, axis=0)         # (F, S)
-    code |= (above << 1).take(c1, axis=0)
-    code |= (above << 2).take(c2, axis=0)
+    code = word.take(c0, axis=0)
+    code |= (word << 1).take(c1, axis=0)
+    code |= (word << 2).take(c2, axis=0)
+    return code
+
+
+def _crossings(code):
+    """Flat indices of the crossing 3-bit codes among ``code``, and the
+    codes."""
     code = code.ravel()
     k = np.flatnonzero((code != 0) & (code != 7))
     return k, code[k]
@@ -166,32 +176,79 @@ def _geometry(vals, cols, mesh, u, k, case):
     return v_idx, (t_a, t_b), (p_a, p_b), np.arctan2(sin, cos)
 
 
-def isoline_lengths(values, mesh, u):
-    """Total u-level curve length for each slice of a (V, S) value block.
+def _lengths(vals, cols, mesh, u, k, case):
+    """Per slice of ``cols``, the summed arcs of the crossings ``k`` (flat
+    (triangle, slice within ``cols``) indices, triangle-major) with codes
+    ``case``, which get geometry ``_CHUNK`` at a time."""
+    arcs = np.empty(k.size)
+    for c in range(0, k.size, _CHUNK):
+        part = slice(c, c + _CHUNK)
+        *_, arcs[part] = _geometry(vals, cols, mesh, u, k[part], case[part])
+    width = cols.stop - cols.start
+    return np.bincount(k % width, weights=arcs, minlength=width)
 
-    The slices are marched in blocks of about ``_BLOCK_VALUES`` values, and
-    their crossings get geometry ``_CHUNK`` at a time; each slice's length
-    sums its own crossings in triangle order, so neither changes a bit.
-    Returns (lengths (S,), perturbed_vertex_count).
+
+def isoline_lengths(values, mesh, u):
+    """Total level-curve length of each slice of a (V, S) value block, at
+    one level u for every slice or at one level per slice (u of shape
+    (S,)); several levels of one field are its slice repeated per level.
+
+    At one level the slices are marched in blocks of about
+    ``_BLOCK_VALUES`` values, each (triangle, slice) pair with a uint8
+    code.  Per-slice levels share code words (``_per_slice_lengths``).
+    Each slice's length sums its own crossings in triangle order, so
+    neither changes a bit: each equals a call with that slice and its
+    level alone.  Returns (lengths (S,), perturbed_vertex_count).
     """
     vals = _columns(values, mesh)
     n_slices = vals.shape[1]
+    levels = np.asarray(u, dtype=float)
+    if levels.shape not in ((), (n_slices,)) or not levels.size \
+            or not np.isfinite(levels).all():
+        raise ValueError(f"u must be a finite level or one finite level "
+                         f"per slice ({n_slices}), got {u!r}")
+    if levels.ndim:
+        return _per_slice_lengths(vals, mesh, levels)
+    vals = np.ascontiguousarray(vals)
     step = max(1, _BLOCK_VALUES // vals.shape[0])
     lengths = np.empty(n_slices)
     n_pert = 0
     for start in range(0, n_slices, step):
         cols = slice(start, min(start + step, n_slices))
         block, block_cols, pert = _nudged(vals, cols, u)
-        k, case = _crossings(block, block_cols, mesh, u)
-        arcs = np.empty(k.size)
-        for c in range(0, k.size, _CHUNK):
-            part = slice(c, c + _CHUNK)
-            *_, arcs[part] = _geometry(block, block_cols, mesh, u, k[part],
-                                       case[part])
-        width = cols.stop - start
-        lengths[cols] = np.bincount(k % width, weights=arcs,
-                                    minlength=width)
+        word = (block[:, block_cols] > u).view(np.uint8)     # (V, S)
+        k, case = _crossings(_codes(word, mesh))
+        lengths[cols] = _lengths(block, block_cols, mesh, u, k, case)
         n_pert += pert
+    return lengths, n_pert
+
+
+def _per_slice_lengths(vals, mesh, levels):
+    """``isoline_lengths`` of the slices of a (V, S) array, slice s at
+    ``levels[s]``.  Each run of up to ``_WORD_LEVELS`` slices shares one
+    code word per vertex and per triangle, slice j's bits at 3j..3j+2 of
+    the least unsigned type that holds the run, so one set of corner
+    gathers classifies the run; a run of one slice is the uint8 code.  A
+    slice with a value exactly at its level is nudged in its own copy."""
+    lengths = np.empty(levels.size)
+    n_pert = 0
+    one = slice(0, 1)
+    for start in range(0, levels.size, _WORD_LEVELS):
+        run = range(start, min(start + _WORD_LEVELS, levels.size))
+        word = np.zeros(vals.shape[0], np.min_scalar_type(8 ** len(run) - 1))
+        cols = []
+        for j, s in enumerate(run):
+            col, _, pert = _nudged(np.ascontiguousarray(vals[:, s:s + 1]),
+                                   one, levels[s])
+            word |= np.left_shift(col[:, 0] > levels[s], 3 * j,
+                                  dtype=word.dtype)
+            cols.append(col)
+            n_pert += pert
+        code = _codes(word, mesh)                       # (F,)
+        for j, s in enumerate(run):
+            own = code if len(run) == 1 else (code >> 3 * j) & 7
+            lengths[s] = _lengths(cols[j], one, mesh, levels[s],
+                                  *_crossings(own))[0]
     return lengths, n_pert
 
 
@@ -200,10 +257,11 @@ def extract_level_curves(field_slice, mesh, u):
     values = getattr(field_slice, "values", field_slice)
     k = getattr(field_slice, "time_index", 0)
     u = float(u)
-    vals = _columns(values, mesh)
+    vals = np.ascontiguousarray(_columns(values, mesh))
     vals, cols, n_pert = _nudged(vals, slice(0, vals.shape[1]), u)
+    word = (vals[:, cols] > u).view(np.uint8)
     (v_o, v_a, v_b), t, (p_a, p_b), arcs = _geometry(
-        vals, cols, mesh, u, *_crossings(vals, cols, mesh, u))
+        vals, cols, mesh, u, *_crossings(_codes(word, mesh)))
     edges = np.stack([v_o, v_a, v_o, v_b], axis=1).reshape(-1, 2, 2)
     return LevelCurveSet(
         segments=np.stack([np.stack(p_a, axis=1), np.stack(p_b, axis=1)],

@@ -200,7 +200,9 @@ def multipole_cov(spectrum, ell, tau):
         tau = np.asarray(tau, dtype=float)
         out = np.zeros_like(tau)
         return float(out) if np.ndim(out) == 0 else out
-    out = e.c0 * (1.0 + np.abs(np.asarray(tau, dtype=float))) ** (-_exponent(e))
+    out = np.abs(np.asarray(tau, dtype=float)) + 1.0
+    out **= -_exponent(e)     # in place: one array of tau's length
+    out *= e.c0
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -58,8 +58,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if self.n_steps < 2:
             raise ValueError("need at least two time steps")
 
@@ -69,14 +69,16 @@ class TimeGrid:
 
     @property
     def times(self):
-        return np.arange(self.n_steps) * self.dt
+        # a float arange lets numpy scale it in place: one array, not two
+        return np.arange(self.n_steps, dtype=float) * self.dt
 
     @staticmethod
     def for_horizon(horizon, dt):
         """Grid covering [0, horizon] with step dt (horizon rounded to grid)."""
-        if not 0.0 < horizon < math.inf:
-            raise ValueError(
-                f"horizon must be positive and finite, got {horizon!r}")
+        for name, x in (("horizon", horizon), ("dt", dt)):
+            if not 0.0 < x < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {x!r}")
         n = int(round(horizon / dt)) + 1
         return TimeGrid(dt=dt, n_steps=max(n, 2))
 

@@ -25,6 +25,7 @@ from levelcurves.cli import (
     replay,
     run_study,
 )
+from levelcurves.geometry import isoline_lengths
 
 SPEC_BLOCK = """
 [multipole]
@@ -404,6 +405,23 @@ def test_mean_length_dump_names_each_rows_level():
     for u, _, mean, *_ in means:
         lengths = [float(x) for _, v, x in rows if v == u]
         assert np.mean(lengths) == pytest.approx(float(mean), rel=1e-13)
+
+
+def _per_level_lengths(basis, levels, ensemble):
+    """Oracle: one single-level marching call per level."""
+    vals = basis.y @ ensemble.coeffs[:, 0]
+    return [isoline_lengths(vals, basis.mesh, u)[0][0] for u in levels]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mean_length_tables_equal_the_per_level_route(monkeypatch, seed):
+    cfg = parse_config(WORKER_CFGS["mean-length"].replace(
+        "seed = 3", f"seed = {seed}").replace(
+        "u_grid = 0.0, 0.5", "u_grid = 0.5, -1.0, 0.0, 0.5, 1.5")
+        + "dump_lengths = true\n")
+    tables = run_study(cfg).tables
+    monkeypatch.setattr(levelcurves.cli, "_level_lengths", _per_level_lengths)
+    assert run_study(cfg).tables == tables
 
 
 def test_workers_do_not_change_bytes():

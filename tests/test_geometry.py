@@ -325,6 +325,67 @@ def test_isolated_exact_hits_give_the_same_length_nudged_down(block, share,
     assert np.all(np.abs(up - down) <= 1e-9 * np.maximum(1.0, down))
 
 
+def _assert_stacks_single_levels(vals, mesh, levels):
+    # every (level, slice) pair as one column at its own level, against
+    # one single-level call per level
+    vals = np.asarray(vals, dtype=float).reshape(mesh.n_vertices, -1)
+    n_slices = vals.shape[1]
+    lengths, n_pert = isoline_lengths(np.tile(vals, (1, len(levels))), mesh,
+                                      np.repeat(levels, n_slices))
+    singles = [isoline_lengths(vals, mesh, u) for u in levels]
+    stacked = np.concatenate([s[0] for s in singles])
+    assert lengths.shape == stacked.shape and lengths.dtype == stacked.dtype
+    assert lengths.tobytes() == stacked.tobytes()
+    assert n_pert == sum(s[1] for s in singles)
+
+
+@given(value_blocks(), st.data())
+def test_per_slice_levels_stack_the_single_level_calls(block, data):
+    # levels: u (hit exactly on the rounded grids), the block's own values
+    # (exact hits), free draws; duplicated, unsorted, and up to past two
+    # full code words
+    vals, mesh, u = block
+    level = st.one_of(st.just(u), st.sampled_from(np.ravel(vals).tolist()),
+                      st.floats(-2.5, 2.5))
+    levels = data.draw(st.lists(level, min_size=1,
+                                max_size=2 * geometry._WORD_LEVELS + 3))
+    _assert_stacks_single_levels(vals, mesh, levels)
+
+
+@pytest.mark.parametrize("n_levels", [1, 2, 5, 21, 25])
+def test_per_slice_levels_on_a_two_block_slab_with_an_exact_hit(mesh3,
+                                                                 n_levels):
+    # 300 slices of mesh 3 span two single-level marching blocks; level 0
+    # sits on the 0.5 grid every value is rounded to, the last repeats the
+    # first
+    vals = np.round(np.random.default_rng(7).standard_normal(
+        (mesh3.n_vertices, 300)) / 0.5) * 0.5
+    levels = [0.5, *np.random.default_rng(8).uniform(-2, 2, n_levels - 1)]
+    if n_levels > 2:
+        levels[-1] = levels[0]
+    _assert_stacks_single_levels(vals, mesh3, levels)
+    assert isoline_lengths(vals, mesh3, 0.5)[1] > 0
+
+
+def test_one_length_per_slice(mesh3):
+    vals = mesh3.vertices[:, 2]
+    assert isoline_lengths(vals, mesh3, 0.1)[0].shape == (1,)
+    assert isoline_lengths(vals, mesh3, [0.1])[0].shape == (1,)
+    block = np.stack([vals, -vals, vals], axis=1)
+    assert isoline_lengths(block, mesh3, 0.1)[0].shape == (3,)
+    assert isoline_lengths(block, mesh3, (0.1, 0.2, 0.3))[0].shape == (3,)
+
+
+@pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf, [],
+                               [0.0, math.nan], [[0.0, 0.0]],
+                               [0.0, 0.1, 0.2]])
+def test_isoline_lengths_rejects_a_bad_level(mesh3, u):
+    # nan used to give zero length on every slice
+    z = mesh3.vertices[:, 2]
+    with pytest.raises(ValueError, match="u must be a finite level"):
+        isoline_lengths(np.stack([z, -z], axis=1), mesh3, u)
+
+
 # ----------------------------------------------------------------------
 # Kac-Rice mean
 # ----------------------------------------------------------------------

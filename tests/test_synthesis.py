@@ -54,6 +54,15 @@ def test_time_grid_for_horizon_rejects_a_bad_horizon(horizon):
         TimeGrid.for_horizon(horizon, 1.0)
 
 
+@pytest.mark.parametrize("dt", [-1.0, 0.0, math.inf, math.nan])
+def test_time_grid_rejects_a_bad_dt(dt):
+    # inf used to be accepted, and for_horizon divided by 0 before any check
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        TimeGrid(dt, 3)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        TimeGrid.for_horizon(10.0, dt)
+
+
 def test_icosphere_counts():
     m0 = build_icosphere(0)
     assert m0.n_vertices == 12 and m0.n_triangles == 20
